@@ -14,6 +14,8 @@ neglected (metastable destination).
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,9 @@ class AbsorberParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.gamma_fg <= 0.0 or self.gamma_he <= 0.0:
             raise ValueError("decay rates must be positive")
         if self.tau_f <= 0.0:
@@ -181,7 +186,7 @@ def integrate_hierarchy(
         rho = rk4_step(rho, t_start + i * dt, dt, deriv)
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             tr = rho[1, 1].trace().real
-            if abs(tr - 1.0) > 1e-5:
+            if not abs(tr - 1.0) <= 1e-5:
                 raise IntegrationError(
                     f"trace of the physical block drifted to {tr:.8f} at "
                     f"t = {t_start + (i + 1) * dt:.4f} with dt = {dt}"

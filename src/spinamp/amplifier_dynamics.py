@@ -136,7 +136,7 @@ def evolve(
         if (i + 1) % sample_every == 0 or i == n_steps - 1:
             nrm = np.linalg.norm(psi)
             drift += abs(nrm - 1.0)
-            if drift > 1e-6:
+            if not drift <= 1e-6:
                 raise IntegrationError(
                     f"norm drift {drift:.3e} exceeded 1e-6 at t = {t_start + (i + 1) * dt:.4f} "
                     f"with dt = {dt}"
@@ -197,7 +197,7 @@ def q_function(state: np.ndarray, space: DickeSpace, n_theta: int = 181, n_phi: 
     if state.shape != (space.dimension,):
         raise ValueError("state length does not match the space dimension")
     nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-6:
+    if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     theta = np.linspace(0.0, np.pi, n_theta)
     phi = np.linspace(0.0, 2.0 * np.pi, n_phi)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .dicke import build_collective_operator, expectation
 from .lmg_statics import (
+    GroundStateResult,
     LmgParams,
     correlations,
     order_parameters,
@@ -69,11 +70,10 @@ class SizePoint(NamedTuple):
     c_xxyy: float
 
 
-def _magnetization_x(params: LmgParams, bx: float) -> float:
-    """M_x = -<S_x>/N in the ground state at field bx."""
-    result = solve_ground(dataclasses.replace(params, bx=bx))
+def _magnetization_x(result: GroundStateResult) -> float:
+    """M_x = -<S_x>/N in a solved ground state."""
     sx = build_collective_operator(result.params.space, "Sx")
-    return -expectation(sx, result.ground) / params.n_qubits
+    return -expectation(sx, result.ground) / result.params.n_qubits
 
 
 def susceptibility_at(params: LmgParams, bx: float, rel_step: float = 1e-2) -> float:
@@ -82,8 +82,8 @@ def susceptibility_at(params: LmgParams, bx: float, rel_step: float = 1e-2) -> f
         raise ValueError(f"bx must be positive, got {bx}")
     if not 0.0 < rel_step <= 0.1:
         raise ValueError(f"rel_step must lie in (0, 0.1], got {rel_step}")
-    up = _magnetization_x(params, bx * (1.0 + rel_step))
-    dn = _magnetization_x(params, bx * (1.0 - rel_step))
+    up = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 + rel_step))))
+    dn = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 - rel_step))))
     return (up - dn) / (2.0 * bx * rel_step)
 
 
@@ -91,7 +91,7 @@ def susceptibility_one_sided(params: LmgParams, bx: float) -> float:
     """M_x(bx) / bx, the size-scan form (M_x vanishes at zero field)."""
     if bx <= 0.0:
         raise ValueError(f"bx must be positive, got {bx}")
-    return _magnetization_x(params, bx) / bx
+    return _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx))) / bx
 
 
 def field_sweep(
@@ -164,8 +164,11 @@ def size_sweep(j: float, bx: float, n_values: Sequence[int], epsilon: float = 1.
     """Per-N statics on the transition line jx = jy = j.
 
     chi uses the one-sided probe at the given bx; the gap is evaluated at
-    bx = 0, where it follows the 1/N law; c_xxyy is taken at the probe field.
+    bx = 0, where it follows the 1/N law; c_xxyy is taken from the same
+    probe-field solve as chi.
     """
+    if bx <= 0.0:
+        raise ValueError(f"bx must be positive, got {bx}")
     out = []
     for n in n_values:
         n = int(n)
@@ -173,9 +176,10 @@ def size_sweep(j: float, bx: float, n_values: Sequence[int], epsilon: float = 1.
             raise ValueError(f"n_values must be >= 2, got {n}")
         params = LmgParams(n_qubits=n, jx=j, jy=j, epsilon=epsilon)
         try:
-            chi = susceptibility_one_sided(params, bx)
+            probe = solve_ground(dataclasses.replace(params, bx=bx))
+            chi = _magnetization_x(probe) / bx
             gap0 = solve_ground(params).gap
-            corr = correlations(solve_ground(dataclasses.replace(params, bx=bx)))
+            corr = correlations(probe)
         except Exception as err:
             raise RuntimeError(f"size sweep failed at N = {n}: {err}") from err
         out.append(SizePoint(n=n, chi=chi, gap=gap0, c_xxyy=corr.c_xxyy))

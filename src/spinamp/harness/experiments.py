@@ -152,10 +152,24 @@ def _absorber_params(cfg: ExperimentConfig) -> AbsorberParams:
     )
 
 
+def _check_drive_start(cfg: ExperimentConfig) -> None:
+    """The amplifier and the absorber both start at t_start, before the pulse.
+
+    The absorber trace must begin in the vacuum, 5 tau_f ahead of the pulse
+    centre, and the amplifier may not start after the trace's first sample.
+    """
+    latest = cfg.pulse.t_arrival - 5.0 * cfg.pulse.tau_f
+    if cfg.integration.t_start > latest:
+        raise ExperimentError(
+            "config",
+            f"[integration] t_start = {cfg.integration.t_start:g} is later than "
+            f"t_arrival - 5 tau_f = {latest:g}",
+        )
+
+
 def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
     params = _absorber_params(cfg)
-    t_start = min(cfg.integration.t_start, params.t_arrival - 5.0 * params.tau_f)
-    trace = integrate_hierarchy(params, t_start, cfg.integration.t_end)
+    trace = integrate_hierarchy(params, cfg.integration.t_start, cfg.integration.t_end)
     return DriveSchedule.from_trace(trace, bx=cfg.coupling.bx)
 
 
@@ -584,6 +598,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             raise ExperimentError(
                 "config", f"experiment {cfg.experiment} does not take a [{section}] section"
             )
+    if "coupling" in entry.allowed_sections:  # the absorber drives the amplifier
+        _check_drive_start(cfg)
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spinamp import absorber
 from spinamp.absorber import (
     AbsorberParams,
     PulseEnvelope,
@@ -19,6 +20,20 @@ def test_params_validation():
         AbsorberParams(delta_pp=1.0, gamma_fg=1.0, gamma_he=1.0, tau_f=-1.0)
     with pytest.raises(ValueError):
         AbsorberParams(delta_pp=1.0, gamma_fg=1.0, gamma_he=1.0, tau_f=1.0, eta_scatter=1.5)
+
+
+def test_params_reject_non_finite():
+    # a NaN rate used to run to the end and report pe_steady = nan
+    with pytest.raises(ValueError, match="delta_pp"):
+        AbsorberParams(delta_pp=float("nan"), gamma_fg=20.0, gamma_he=20.0, tau_f=1.0)
+    with pytest.raises(ValueError, match="t_arrival"):
+        AbsorberParams(**RIDGE, t_arrival=float("inf"))
+
+
+def test_trace_guard_trips_on_nan(monkeypatch):
+    monkeypatch.setattr(absorber, "rk4_step", lambda rho, t, dt, deriv: np.full_like(rho, np.nan))
+    with pytest.raises(IntegrationError, match="trace"):
+        integrate_hierarchy(AbsorberParams(**RIDGE), -5.0, -4.9, dt=1e-2)
 
 
 def test_pulse_norm_on_grid():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spinamp import amplifier_dynamics
 from spinamp.amplifier_dynamics import (
     AmplifierTrajectory,
     DriveSchedule,
@@ -13,6 +14,7 @@ from spinamp.amplifier_dynamics import (
 )
 from spinamp.dicke import DickeSpace, coherent_amplitudes, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian
+from spinamp.stepping import IntegrationError
 
 BIAS = dict(jx=0.675, jy=0.7)
 
@@ -42,6 +44,12 @@ def test_evolve_preconditions():
         evolve(params, drive, -1.0, 1.0, dt=5e-3)
     with pytest.raises(ValueError, match="t_start"):
         evolve(params, drive, 0.0, 1.0)
+
+
+def test_norm_drift_guard_trips_on_nan(monkeypatch):
+    monkeypatch.setattr(amplifier_dynamics, "rk4_step", lambda psi, t, dt, deriv: np.full_like(psi, np.nan))
+    with pytest.raises(IntegrationError, match="norm drift"):
+        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0, bx=0.01), -1.0, -0.9)
 
 
 def test_ground_state_is_stationary_without_drive():
@@ -121,6 +129,8 @@ def test_q_function_rejects_unnormalized():
     space = DickeSpace(10)
     with pytest.raises(ValueError):
         q_function(np.ones(11, dtype=complex), space)
+    with pytest.raises(ValueError, match="normalized"):
+        q_function(np.full(11, np.nan, dtype=complex), space)
 
 
 def test_azimuthal_plane_masses():

@@ -102,6 +102,18 @@ def test_run_rejects_unneeded_section(tmp_path):
         run_experiment(cfg)
 
 
+def test_run_rejects_late_t_start_before_any_stage(tmp_path):
+    cfg = default_config("fig2_gain_vs_bias")
+    cfg = dataclasses.replace(
+        cfg,
+        integration=dataclasses.replace(cfg.integration, t_start=-4.0),
+        output=OutputSection(directory=str(tmp_path / "out")),
+    )
+    with pytest.raises(ExperimentError, match=r"\[config\].*t_start = -4 .*t_arrival - 5 tau_f = -5"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_csv_formats_17_digits(tmp_path):
     path = write_csv(tmp_path / "x.csv", ("a", "b"), [(1.0 / 3.0, 7)])
     lines = path.read_text().splitlines()

@@ -1,10 +1,18 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spinamp.criticality import susceptibility_at
+from spinamp.dicke import build_collective_operator, expectation
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, symmetric_sector_basis
 from spinamp.lmg_statics import (
+    EigensolverError,
     LmgParams,
     assemble_hamiltonian,
     correlations,
@@ -143,31 +151,94 @@ def test_large_negative_correlation_at_transition():
     assert corr.eta == pytest.approx((2.0 / 1000) * abs(corr.c_xxyy) ** 0.25, rel=0, abs=0)
 
 
-def test_parity_solver_cross_check_nondegenerate():
-    # small N: tunneling splitting is resolvable, both paths agree on the state
-    params = LmgParams(n_qubits=20, **TEST_POINT)
-    banded = solve_ground(params, method="banded")
-    parity = solve_ground(params, method="parity")
-    assert abs(banded.e0 - parity.e0) < 1e-11
-    assert abs(banded.e1 - parity.e1) < 1e-11
-    assert abs(abs(np.vdot(banded.ground, parity.ground)) - 1.0) < 1e-9
+def test_single_path_matches_dense_eigh():
+    # both branches (bx == 0: parity split; bx != 0: inverse iteration) against a dense solve
+    for n in (1, 2, 3, 20, 101):
+        for point in (TEST_POINT, dict(jx=0.7, jy=0.7)):
+            for bx in (0.0, 1e-3):
+                params = LmgParams(n_qubits=n, bx=bx, **point)
+                res = solve_ground(params)
+                h = assemble_hamiltonian(params)
+                w, v = np.linalg.eigh(h.densify())
+                tol = 1e-11 * max(h.norm_upper_bound(), 1.0)
+                assert abs(res.e0 - w[0]) <= tol, (n, point, bx)
+                assert abs(res.e1 - w[1]) <= tol, (n, point, bx)
+                if w[1] - w[0] > 1e-8:
+                    assert abs(np.vdot(res.ground, v[:, 0])) >= 1.0 - 1e-10, (n, point, bx)
 
 
-def test_parity_solver_cross_check_large_degenerate():
-    # deep FM-Y doublet: eigenvalues must agree; the degenerate subspace may mix
+def test_fig4_fields_match_full_banded_eigensolver():
+    # reference: LAPACK banded eigensolver with its N x N eigenvector transform;
+    # pins how far the fig4 sweep columns may move from it
+    base = LmgParams(n_qubits=1000, jx=0.7, jy=0.7)
+    sx = build_collective_operator(base.space, "Sx")
+
+    def reference(bx):
+        h = assemble_hamiltonian(dataclasses.replace(base, bx=bx))
+        w, v = scipy.linalg.eig_banded(h.scipy_upper_bands(), select="i", select_range=(0, 1))
+        return w, v[:, 0], h.norm_upper_bound()
+
+    def magnetization(bx):
+        return -expectation(sx, reference(bx)[1]) / base.n_qubits
+
+    for bx in np.geomspace(1e-6, 1e-2, 33)[[0, 16, 32]]:
+        res = solve_ground(dataclasses.replace(base, bx=bx))
+        w, v, h_norm = reference(bx)
+        assert abs(res.e0 - w[0]) <= 1e-12 * h_norm
+        assert abs(res.gap - (w[1] - w[0])) <= 1e-12
+        assert abs(np.vdot(res.ground, v)) >= 1.0 - 1e-12
+        chi_ref = (magnetization(bx * 1.01) - magnetization(bx * 0.99)) / (2.0 * bx * 0.01)
+        assert abs(susceptibility_at(base, bx) - chi_ref) <= 1e-10 * chi_ref
+
+
+def test_degenerate_doublet_gives_parity_eigenstate():
+    # deep FM-Y doublet at N = 501: degenerate to machine precision at bx = 0
     params = LmgParams(n_qubits=501, **TEST_POINT)
-    banded = solve_ground(params, method="banded")
-    parity = solve_ground(params, method="parity")
-    assert abs(banded.e0 - parity.e0) < 1e-10
-    assert abs(banded.e1 - parity.e1) < 1e-10
+    res = solve_ground(params)
     h = assemble_hamiltonian(params)
-    residual = np.linalg.norm(h.matvec(parity.ground) - banded.e0 * parity.ground)
-    assert residual < 1e-8 * h.norm_upper_bound()
+    psi = res.ground.real
+    assert np.linalg.norm(h.matvec(psi) - res.e0 * psi) <= 1e-8 * h.norm_upper_bound()
+    even, odd = psi[0::2], psi[1::2]
+    assert (np.all(odd == 0.0) and np.abs(even).max() > 0.0) or (
+        np.all(even == 0.0) and np.abs(odd).max() > 0.0
+    )
 
 
-def test_parity_solver_rejects_field():
-    with pytest.raises(ValueError, match="parity"):
-        solve_ground(LmgParams(n_qubits=10, jx=0.7, jy=0.7, bx=1e-3), method="parity")
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(["jx", "jy", "bx", "epsilon"]), value=NON_FINITE)
+def test_params_reject_non_finite(field, value):
+    kwargs = dict(n_qubits=4, jx=0.6, jy=0.7, bx=1e-3, epsilon=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        LmgParams(**kwargs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 60), bx=st.sampled_from([0.0, 1e-3]), index=st.integers(0, 10_000))
+def test_residual_guard_trips_on_nan_vector(n, bx, index):
+    # a NaN anywhere in the solver's vector must fail the residual check, not pass it
+    params = LmgParams(n_qubits=n, jx=0.6, jy=0.7, bx=bx)
+    real_tridiagonal = scipy.linalg.eigh_tridiagonal
+    real_banded = scipy.linalg.solve_banded
+
+    def poisoned_tridiagonal(*args, **kwargs):
+        w, v = real_tridiagonal(*args, **kwargs)
+        v[index % v.shape[0]] = np.nan
+        return w, v
+
+    def poisoned_banded(lu, ab, b, **kwargs):
+        x = real_banded(lu, ab, np.nan_to_num(b), **kwargs)
+        x[index % x.size] = np.nan
+        return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigh_tridiagonal", poisoned_tridiagonal)
+        mp.setattr(scipy.linalg, "solve_banded", poisoned_banded)
+        with pytest.raises(EigensolverError, match="residual"):
+            solve_ground(params)
 
 
 def test_ground_state_sign_convention_deterministic():
