@@ -31,12 +31,17 @@ class DriveSchedule:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         pe = np.asarray(self.pe, dtype=float)
-        if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
+        # each check is written so that a NaN fails it
+        if times.ndim != 1 or times.size < 2 or not np.all(np.isfinite(times)):
+            raise ValueError("times must be a finite sequence of at least two samples")
+        if not np.all(np.diff(times) > 0.0):
             raise ValueError("times must be a strictly ascending sequence")
         if pe.shape != times.shape:
             raise ValueError("pe and times must have matching shapes")
-        if np.any(pe < -1e-8) or np.any(pe > 1.0 + 1e-8):
+        if not np.all((pe >= -1e-8) & (pe <= 1.0 + 1e-8)):
             raise ValueError("pe samples must lie in [0, 1]")
+        if not np.isfinite(self.bx):
+            raise ValueError(f"bx must be finite, got {self.bx}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "pe", pe)
 

@@ -2,9 +2,11 @@
 
 Everything lives in the maximal-spin sector of N spin-1/2 qubits, where the
 2^N-dimensional problem collapses to dimension N+1. Operators are stored as
-real symmetric bands (with an optional imaginary band extension, needed only
-for S_y): S_z is diagonal, S_x and S_y are tridiagonal, and their squares are
-pentadiagonal with closed-form matrix elements.
+real symmetric bands: S_z is diagonal, S_x is tridiagonal, and S_x^2 and
+S_y^2 are pentadiagonal with closed-form matrix elements. S_y itself is
+imaginary in this basis and is not provided: the amplifier Hamiltonian is
+real, so its ground state is real and <S_y> and Re<S_x S_y> vanish
+identically (the 2^N oracle in ``harness.oracle`` keeps S_y as the check).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-OPERATOR_TAGS = ("Sz", "Sx", "Sy", "Sx2", "Sy2")
+OPERATOR_TAGS = ("Sz", "Sx", "Sx2", "Sy2")
 
 
 def _frozen_array(a, dtype=np.float64):
@@ -60,18 +62,18 @@ class DickeSpace:
 
 @dataclass(frozen=True)
 class BandedHermitianOperator:
-    """Hermitian operator stored as its main and upper diagonals.
+    """Real symmetric operator stored as its main and upper diagonals.
 
-    ``bands[k][i]`` is the real part of the element (i, i+k); ``imag_bands``,
-    when present, holds the imaginary parts in the same layout. Lower bands
-    follow by conjugate symmetry and are never stored. Entries of band k with
-    index >= dimension-k are padding and must be zero.
+    ``bands[k][i]`` is the element (i, i+k); the lower bands follow by
+    symmetry and are never stored. Entries of band k with index >=
+    dimension-k are padding and must be zero. Every operator the amplifier
+    needs (S_z, S_x, S_x^2, S_y^2 and the Hamiltonian) is real in the Dicke
+    basis, so no imaginary part is carried.
     """
 
     dimension: int
     bandwidth: int
     bands: np.ndarray
-    imag_bands: np.ndarray | None = None
 
     def __post_init__(self):
         if self.bands.shape != (self.bandwidth + 1, self.dimension):
@@ -79,34 +81,18 @@ class BandedHermitianOperator:
                 f"bands shape {self.bands.shape} does not match "
                 f"(bandwidth+1, dimension) = {(self.bandwidth + 1, self.dimension)}"
             )
-        if self.imag_bands is not None:
-            if self.imag_bands.shape != self.bands.shape:
-                raise ValueError("imag_bands shape must match bands")
-            if np.any(self.imag_bands[0] != 0.0):
-                raise ValueError("Hermiticity requires a real main diagonal")
         object.__setattr__(self, "bands", _frozen_array(self.bands))
-        if self.imag_bands is not None:
-            object.__setattr__(self, "imag_bands", _frozen_array(self.imag_bands))
-
-    @property
-    def is_real(self) -> bool:
-        return self.imag_bands is None
 
     def densify(self) -> np.ndarray:
-        """Full matrix form (float for real operators, complex otherwise)."""
+        """Full real matrix form."""
         n = self.dimension
-        if self.is_real:
-            a = np.zeros((n, n))
-        else:
-            a = np.zeros((n, n), dtype=complex)
+        a = np.zeros((n, n))
         idx = np.arange(n)
         a[idx, idx] = self.bands[0]
         for k in range(1, self.bandwidth + 1):
-            u = self.bands[k][: n - k].astype(complex) if not self.is_real else self.bands[k][: n - k]
-            if not self.is_real:
-                u = u + 1j * self.imag_bands[k][: n - k]
+            u = self.bands[k][: n - k]
             a[idx[: n - k], idx[k:]] = u
-            a[idx[k:], idx[: n - k]] = np.conj(u)
+            a[idx[k:], idx[: n - k]] = u
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -119,22 +105,13 @@ class BandedHermitianOperator:
             u = self.bands[k][: n - k]
             y[: n - k] += u * x[k:]
             y[k:] += u * x[: n - k]
-        if self.imag_bands is not None:
-            for k in range(1, self.bandwidth + 1):
-                v = self.imag_bands[k][: n - k]
-                y = y.astype(complex)
-                y[: n - k] += 1j * v * x[k:]
-                y[k:] += -1j * v * x[: n - k]
         return y
 
     def norm_upper_bound(self) -> float:
         """Infinity norm computed from the stored bands."""
         n = self.dimension
-        row = np.abs(self.bands[0]).astype(float)
-        if self.imag_bands is not None:
-            mags = np.abs(self.bands + 1j * self.imag_bands)
-        else:
-            mags = np.abs(self.bands)
+        mags = np.abs(self.bands)
+        row = mags[0].copy()
         for k in range(1, self.bandwidth + 1):
             u = mags[k][: n - k]
             row[: n - k] += u
@@ -144,11 +121,9 @@ class BandedHermitianOperator:
     def scipy_upper_bands(self) -> np.ndarray:
         """LAPACK ``ab`` upper-form storage for scipy.linalg.eig_banded.
 
-        Only defined for real operators. Rows above the usable bandwidth
-        (dimension - 1) are trimmed so tiny spaces remain solvable.
+        Rows above the usable bandwidth (dimension - 1) are trimmed so tiny
+        spaces remain solvable.
         """
-        if not self.is_real:
-            raise ValueError("scipy banded storage is only provided for real operators")
         n = self.dimension
         u = min(self.bandwidth, n - 1)
         ab = np.zeros((u + 1, n))
@@ -170,7 +145,7 @@ class SpinCoherentState:
 
 
 def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianOperator:
-    """Build S_z, S_x, S_y, or the analytic pentadiagonal S_x^2 / S_y^2.
+    """Build S_z, S_x, or the analytic pentadiagonal S_x^2 / S_y^2.
 
     The squares use the closed-form matrix elements
     <m|S_a^2|m> = [S(S+1) - m^2]/2 and <m|S_a^2|m+2> = +-c_m c_{m+1}/4
@@ -186,14 +161,10 @@ def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianO
     if which == "Sz":
         return BandedHermitianOperator(n, 0, m[np.newaxis, :].copy())
 
-    if which in ("Sx", "Sy"):
+    if which == "Sx":
         bands = np.zeros((2, n))
-        if which == "Sx":
-            bands[1, : n - 1] = c / 2.0
-            return BandedHermitianOperator(n, 1, bands)
-        imag = np.zeros((2, n))
-        imag[1, : n - 1] = c / 2.0  # element (i, i+1) of S_y is +i c_i / 2
-        return BandedHermitianOperator(n, 1, bands, imag)
+        bands[1, : n - 1] = c / 2.0
+        return BandedHermitianOperator(n, 1, bands)
 
     bands = np.zeros((3, n))
     bands[0] = (s * (s + 1.0) - m * m) / 2.0
@@ -203,12 +174,11 @@ def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianO
 
 
 def expectation(op: BandedHermitianOperator, state: np.ndarray) -> float:
-    """<state|op|state> for a normalized state; the imaginary part is
-    asserted below 1e-10 and discarded.
+    """<state|op|state> for a normalized state.
 
-    For real-banded operators the quadratic form is evaluated separately on
-    the real and imaginary parts of the state, which makes the imaginary
-    part vanish identically instead of accumulating rounding noise.
+    The quadratic form is evaluated separately on the real and imaginary
+    parts of the state; for a real operator the cross terms cancel exactly,
+    so the result is real with no rounding noise to discard.
     """
     state = np.asarray(state)
     if state.shape != (op.dimension,):
@@ -218,17 +188,12 @@ def expectation(op: BandedHermitianOperator, state: np.ndarray) -> float:
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
-    if op.is_real:
-        x = np.ascontiguousarray(state.real)
-        val = float(x @ op.matvec(x))
-        if np.iscomplexobj(state):
-            y = np.ascontiguousarray(state.imag)
-            val += float(y @ op.matvec(y))
-        return val
-    z = np.vdot(state, op.matvec(state))
-    if abs(z.imag) >= 1e-10:
-        raise AssertionError(f"expectation of Hermitian operator has Im = {z.imag:.3e}")
-    return float(z.real)
+    x = np.ascontiguousarray(state.real)
+    val = float(x @ op.matvec(x))
+    if np.iscomplexobj(state):
+        y = np.ascontiguousarray(state.imag)
+        val += float(y @ op.matvec(y))
+    return val
 
 
 def coherent_log_magnitudes(space: DickeSpace, thetas: np.ndarray) -> np.ndarray:

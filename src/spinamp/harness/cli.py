@@ -60,7 +60,8 @@ def _cmd_oracle(args) -> int:
         ("gap", ob.gap, res.gap),
         ("zeta_x", ob.zeta_x, ops.zeta_x),
         ("zeta_y", ob.zeta_y, ops.zeta_y),
-        ("c_xy", ob.c_xy, corr.c_xy),
+        # the collective ground state is real, so <S_y> and Re<S_x S_y> vanish exactly
+        ("c_xy", ob.c_xy, 0.0),
         ("c_xxyy", ob.c_xxyy, corr.c_xxyy),
     ]
     print(f"N={args.n} jx={args.jx} jy={args.jy} bx={args.bx}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +127,12 @@ def _coerce(section: str, key: str, raw: str):
     if key in _STR_FIELDS:
         return raw.strip()
     try:
-        return float(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from err
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be a finite number, got {raw!r}")
+    return value
 
 
 def parse_config_text(text: str) -> tuple[str | None, dict[str, dict]]:

@@ -20,7 +20,7 @@ import numpy as np
 from .. import __version__
 from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
 from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain
-from ..criticality import field_sweep, fit_power_law, size_sweep
+from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
 from . import svgplot
 from .config import (
@@ -129,11 +129,11 @@ def verify_manifest(manifest_path) -> bool:
 # --------------------------------------------------------------------------
 # shared pieces
 
-SWEEP_CSV = ("bx", "zeta_x", "zeta_y", "sqrt_zeta_x", "chi", "gap", "c_xxyy", "eta")
+SWEEP_CSV = tuple(f.name for f in dataclasses.fields(SweepPoint))
 GAIN_CSV = ("t", "pe", "sx2", "sy2", "gain")
 QFUNC_CSV = ("theta", "phi", "q")
 TMAP_CSV = ("delta_pp", "gamma", "pe_steady")
-SIZE_CSV = ("n", "chi", "gap", "c_xxyy")
+SIZE_CSV = SizePoint._fields
 FITS_CSV = ("quantity", "exponent", "log_amplitude", "r_squared", "window_lo", "window_hi", "n_points")
 GAIN_SCALING_CSV = ("n", "g_max", "t_am")
 ABSORPTION_CSV = ("t", "pe")
@@ -173,6 +173,23 @@ def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
     return DriveSchedule.from_trace(trace, bx=cfg.coupling.bx)
 
 
+def _lmg_params(cfg: ExperimentConfig, n_qubits: int, jx: float) -> LmgParams:
+    return LmgParams(n_qubits=n_qubits, jx=float(jx), jy=cfg.model.jy, epsilon=cfg.model.epsilon)
+
+
+def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, n_qubits: int, jx: float):
+    """Amplifier trajectory at (n_qubits, jx) over the configured time grid."""
+    grid = cfg.integration
+    return evolve(
+        _lmg_params(cfg, n_qubits, jx),
+        drive,
+        t_start=grid.t_start,
+        t_end=grid.t_end,
+        dt=grid.dt,
+        sample_every=grid.sample_every,
+    )
+
+
 def _fit_row(name, fit):
     return (
         name,
@@ -200,17 +217,7 @@ def _run_fig2(cfg, out, clock, emit_svg):
     curves = []
     for jx in cfg.sweep.values():
         with clock.stage(f"dynamics-jx={jx:g}"):
-            params = LmgParams(
-                n_qubits=cfg.model.n_qubits, jx=float(jx), jy=cfg.model.jy, epsilon=cfg.model.epsilon
-            )
-            traj = evolve(
-                params,
-                drive,
-                t_start=cfg.integration.t_start,
-                t_end=cfg.integration.t_end,
-                dt=cfg.integration.dt,
-                sample_every=cfg.integration.sample_every,
-            )
+            traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
             gain = quantum_gain(traj, cfg.integration.t_start, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
@@ -232,20 +239,10 @@ def _run_fig3(cfg, out, clock, emit_svg):
     files = []
     for jx in cfg.sweep.values():
         with clock.stage(f"dynamics-jx={jx:g}"):
-            params = LmgParams(
-                n_qubits=cfg.model.n_qubits, jx=float(jx), jy=cfg.model.jy, epsilon=cfg.model.epsilon
-            )
-            traj = evolve(
-                params,
-                drive,
-                t_start=cfg.integration.t_start,
-                t_end=cfg.integration.t_end,
-                dt=cfg.integration.dt,
-                sample_every=cfg.integration.sample_every,
-            )
+            traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
         with clock.stage(f"qfunction-jx={jx:g}"):
             for t_snap in snapshots:
-                grid = q_function(traj.state_at(t_snap), params.space)
+                grid = q_function(traj.state_at(t_snap), traj.params.space)
                 rows = (
                     (grid.theta[i], grid.phi[j], grid.values[i, j])
                     for i in range(grid.theta.size)
@@ -268,36 +265,19 @@ def _run_fig3(cfg, out, clock, emit_svg):
     return files
 
 
-def _statics_params(cfg) -> LmgParams:
-    return LmgParams(
-        n_qubits=cfg.model.n_qubits, jx=cfg.model.jx, jy=cfg.model.jy, epsilon=cfg.model.epsilon
-    )
-
-
 def _run_fig4(cfg, out, clock, emit_svg):
-    params = _statics_params(cfg)
+    params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
     bx_values = cfg.sweep.values()
     with clock.stage("field-sweep"):
         points = field_sweep(params, bx_values)
-    files = [
-        write_csv(
-            out / "susceptibility_sweep.csv",
-            SWEEP_CSV,
-            (
-                (p.bx, p.zeta_x, p.zeta_y, p.sqrt_zeta_x, p.chi, p.gap, p.c_xxyy, p.eta)
-                for p in points
-            ),
-        )
-    ]
+    files = [write_csv(out / "susceptibility_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))]
     with clock.stage("fit"):
         chi_fit = fit_power_law([(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
         files.append(write_csv(out / "fits.csv", FITS_CSV, [_fit_row("chi", chi_fit)]))
     with clock.stage("size-sweep"):
         n_values = np.arange(200, 2001, 200)
         rows = size_sweep(cfg.model.jx, 1e-5, n_values, epsilon=cfg.model.epsilon)
-        files.append(
-            write_csv(out / "chi_vs_n.csv", SIZE_CSV, ((r.n, r.chi, r.gap, r.c_xxyy) for r in rows))
-        )
+        files.append(write_csv(out / "chi_vs_n.csv", SIZE_CSV, rows))
     if emit_svg:
         files.append(
             svgplot.svg_chart(
@@ -323,20 +303,11 @@ def _run_fig4(cfg, out, clock, emit_svg):
 
 
 def _run_fig5(cfg, out, clock, emit_svg):
-    params = _statics_params(cfg)
+    params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
     bx_values = cfg.sweep.values()
     with clock.stage("field-sweep"):
         points = field_sweep(params, bx_values)
-    files = [
-        write_csv(
-            out / "correlation_gap_sweep.csv",
-            SWEEP_CSV,
-            (
-                (p.bx, p.zeta_x, p.zeta_y, p.sqrt_zeta_x, p.chi, p.gap, p.c_xxyy, p.eta)
-                for p in points
-            ),
-        )
-    ]
+    files = [write_csv(out / "correlation_gap_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))]
     with clock.stage("fit"):
         c_fit = fit_power_law([(p.bx, abs(p.c_xxyy)) for p in points], CXXYY_FIT_WINDOW)
         gap_fit = fit_power_law([(p.bx, p.gap) for p in points], GAP_FIT_WINDOW)
@@ -421,17 +392,7 @@ def _run_figs3(cfg, out, clock, emit_svg):
     for n in cfg.sweep.values():
         n = int(round(n))
         with clock.stage(f"dynamics-n={n}"):
-            params = LmgParams(
-                n_qubits=n, jx=cfg.model.jx, jy=cfg.model.jy, epsilon=cfg.model.epsilon
-            )
-            traj = evolve(
-                params,
-                drive,
-                t_start=cfg.integration.t_start,
-                t_end=cfg.integration.t_end,
-                dt=cfg.integration.dt,
-                sample_every=cfg.integration.sample_every,
-            )
+            traj = _amplify(cfg, drive, n, cfg.model.jx)
             gain = quantum_gain(traj, cfg.integration.t_start, t_arrival=cfg.pulse.t_arrival)
             rows.append((n, gain.g_max, gain.t_am))
     files = [write_csv(out / "gain_scaling.csv", GAIN_SCALING_CSV, rows)]
@@ -454,18 +415,8 @@ def _run_figs8(cfg, out, clock, emit_svg):
     curves = []
     for n in (500, 1000, 2000):
         with clock.stage(f"field-sweep-n={n}"):
-            params = LmgParams(n_qubits=n, jx=cfg.model.jx, jy=cfg.model.jy, epsilon=cfg.model.epsilon)
-            points = field_sweep(params, bx_values)
-        files.append(
-            write_csv(
-                out / f"eta_n{n}.csv",
-                SWEEP_CSV,
-                (
-                    (p.bx, p.zeta_x, p.zeta_y, p.sqrt_zeta_x, p.chi, p.gap, p.c_xxyy, p.eta)
-                    for p in points
-                ),
-            )
-        )
+            points = field_sweep(_lmg_params(cfg, n, cfg.model.jx), bx_values)
+        files.append(write_csv(out / f"eta_n{n}.csv", SWEEP_CSV, map(dataclasses.astuple, points)))
         curves.append(([p.bx for p in points], [p.eta for p in points], f"N={n}", "line"))
     if emit_svg:
         files.append(

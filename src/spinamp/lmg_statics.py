@@ -82,13 +82,14 @@ class OrderParameters:
 
 @dataclass(frozen=True)
 class CorrelationSet:
-    """Symmetrized x-y correlators of the ground state.
+    """Symmetrized x-y correlator of the ground state.
 
     eta = (2/N)|c_xxyy|^(1/4) is the rescaled correlation, read as the
-    fraction of correlated qubits.
+    fraction of correlated qubits. The first-order C_xy is not kept: the
+    ground state is real, so <S_y> and Re<S_x S_y> vanish and C_xy = 0
+    identically.
     """
 
-    c_xy: float
     c_xxyy: float
     eta: float
 
@@ -232,24 +233,15 @@ def order_parameters(result: GroundStateResult) -> OrderParameters:
 
 
 def correlations(result: GroundStateResult) -> CorrelationSet:
-    """C_xy, C_xxyy and the rescaled correlation eta.
+    """C_xxyy and the rescaled correlation eta.
 
     Operator products are applied as successive banded applications to the
     state; dense products are never formed.
     """
     space = result.params.space
     psi = result.ground
-    sx = build_collective_operator(space, "Sx")
-    sy = build_collective_operator(space, "Sy")
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
-
-    x_psi = sx.matvec(psi)
-    y_psi = sy.matvec(psi)
-    mean_x = expectation(sx, psi)
-    mean_y_c = np.vdot(psi, y_psi)
-    mean_y = float(mean_y_c.real)
-    c_xy = float(np.vdot(x_psi, y_psi).real) - mean_x * mean_y
 
     x2_psi = sx2.matvec(psi)
     y2_psi = sy2.matvec(psi)
@@ -258,4 +250,4 @@ def correlations(result: GroundStateResult) -> CorrelationSet:
     c_xxyy = float(np.vdot(x2_psi, y2_psi).real) - mean_x2 * mean_y2
 
     eta = (2.0 / result.params.n_qubits) * abs(c_xxyy) ** 0.25
-    return CorrelationSet(c_xy=c_xy, c_xxyy=c_xxyy, eta=eta)
+    return CorrelationSet(c_xxyy=c_xxyy, eta=eta)

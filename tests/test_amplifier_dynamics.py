@@ -26,6 +26,18 @@ def test_drive_schedule_validation():
         DriveSchedule(times=np.array([0.0, 1.0]), pe=np.array([0.0, 1.5]), bx=0.01)
     with pytest.raises(ValueError):
         DriveSchedule(times=np.array([0.0, 1.0]), pe=np.zeros(3), bx=0.01)
+    # non-finite input: every range check must trip on NaN
+    for times, pe, bx in [
+        ([0.0, 1.0], [np.nan, 0.5], 0.01),
+        ([0.0, 1.0], [0.0, np.inf], 0.01),
+        ([0.0, np.nan], [0.0, 0.5], 0.01),
+        ([0.0, np.inf], [0.0, 0.5], 0.01),
+        ([-np.inf, 0.0], [0.0, 0.5], 0.01),
+        ([0.0, 1.0], [0.0, 0.5], np.nan),
+        ([0.0, 1.0], [0.0, 0.5], np.inf),
+    ]:
+        with pytest.raises(ValueError):
+            DriveSchedule(times=np.array(times), pe=np.array(pe), bx=bx)
 
 
 def test_drive_schedule_interpolation_and_extrapolation():

@@ -66,6 +66,14 @@ def test_parse_rejects_bad_values():
         parse_config_text("[output]\nemit_svg = maybe\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "infinity"])
+def test_parse_rejects_non_finite_numbers(raw):
+    with pytest.raises(ConfigError, match=r"\[coupling\] bx must be a finite number"):
+        parse_config_text(f"[coupling]\nbx = {raw}\n")
+    with pytest.raises(ConfigError, match=r"\[integration\] t_end must be a finite number"):
+        parse_config_text(f"[integration]\nt_end = {raw}\n")
+
+
 def test_sweep_section_validation_and_values():
     with pytest.raises(ConfigError, match="spacing"):
         SweepSection(variable="bx", lo=1.0, hi=2.0, points=3, spacing="cubic")
