@@ -3,8 +3,11 @@
 A Gaussian one-photon pulse pumps |g> -> |f>; a coherent coupling delta_pp
 mixes the excited states |f> <-> |h>; spontaneous decay |h> -> |e> stores the
 detection event in the metastable state |e>. The dynamics is the single-photon
-Fock-state master equation: a 2x2-indexed hierarchy of generalized 4x4 density
-blocks rho_mn coupled by the pulse amplitude, with the physical state rho_11.
+Fock-state master equation for generalized 4x4 density blocks rho_mn,
+m, n in {0, 1}, with the physical state rho_11. It is linear: flattened to 64
+numbers, d/dt rho = (a + xi(t) b) rho with a fixed pair of generator matrices,
+a acting on every block alike and b feeding the pulse from rho_0n to rho_1n
+and from rho_m0 to rho_m1.
 
 In the rotating frame at the resonant carrier the Hamiltonian reduces to
 H = delta_pp (|f><h| + |h><f|) and the pulse envelope loses its carrier; the
@@ -24,6 +27,7 @@ from .stepping import IntegrationError, rk4_step
 
 LEVELS = ("g", "f", "h", "e")
 _G, _F, _H, _E = 0, 1, 2, 3
+SAMPLE_EVERY = 10  # RK4 steps per stored sample
 
 
 @dataclass(frozen=True)
@@ -76,56 +80,53 @@ class PulseEnvelope:
 
 
 @dataclass(frozen=True)
-class FockHierarchyState:
-    """The four generalized density blocks at one instant."""
-
-    rho_00: np.ndarray
-    rho_01: np.ndarray
-    rho_10: np.ndarray
-    rho_11: np.ndarray
-
-    @classmethod
-    def from_array(cls, rho: np.ndarray) -> "FockHierarchyState":
-        return cls(
-            rho_00=rho[0, 0].copy(),
-            rho_01=rho[0, 1].copy(),
-            rho_10=rho[1, 0].copy(),
-            rho_11=rho[1, 1].copy(),
-        )
-
-    def hermiticity_defect(self) -> float:
-        d = max(
-            np.abs(self.rho_00 - self.rho_00.conj().T).max(),
-            np.abs(self.rho_11 - self.rho_11.conj().T).max(),
-            np.abs(self.rho_10 - self.rho_01.conj().T).max(),
-        )
-        return float(d)
-
-    def min_eigenvalue_11(self) -> float:
-        return float(np.linalg.eigvalsh(0.5 * (self.rho_11 + self.rho_11.conj().T)).min())
-
-
-@dataclass(frozen=True)
 class TransductionTrace:
-    """P_e(t) samples; pe_steady is the max over the trace (the saturation value)."""
+    """P_e(t) samples; pe_steady is the max over the trace (the saturation value).
+
+    states[k] is the hierarchy rho[m, n] (2, 2, 4, 4) at times[k].
+    """
 
     times: np.ndarray
     pe: np.ndarray
     pe_steady: float
-    states: tuple
+    states: np.ndarray
 
     def pe_at(self, t):
         return np.interp(t, self.times, self.pe)
 
 
-def _operators(params: AbsorberParams):
+def _generators(params: AbsorberParams) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with d/dt rho = (a + xi(t) b) rho on the row-major flattened rho[m, n].
+
+    Every block evolves under the Lindblad generator D of H = delta_pp(|f><h|
+    + |h><f|), L_in = sqrt(gamma_fg)|g><f| and L_out = sqrt(gamma_he)|e><h|,
+    so a = kron(eye(4), D). The photon raises one hierarchy index: rho_1n
+    gains c [rho_0n, L_in^+] and rho_m1 gains conj(c) [L_in, rho_m0], with
+    c = sqrt(eta) e^{i phase}.
+    """
+    eye = np.eye(4)
+
+    def left(x):  # rho -> x rho
+        return np.kron(x, eye)
+
+    def right(x):  # rho -> rho x
+        return np.kron(eye, x.T)
+
     h = np.zeros((4, 4))
     h[_F, _H] = h[_H, _F] = params.delta_pp
-    l1 = np.zeros((4, 4))
-    l1[_G, _F] = np.sqrt(params.gamma_fg)  # |g><f|
-    l2 = np.zeros((4, 4))
-    l2[_E, _H] = np.sqrt(params.gamma_he)  # |e><h|
-    return h, l1, l2
+    l_in = np.zeros((4, 4))
+    l_in[_G, _F] = np.sqrt(params.gamma_fg)
+    l_out = np.zeros((4, 4))
+    l_out[_E, _H] = np.sqrt(params.gamma_he)
+    d = -1j * (left(h) - right(h))
+    for op in (l_in, l_out):
+        ldl = op.T @ op
+        d = d + left(op) @ right(op.T) - 0.5 * (left(ldl) + right(ldl))
+    c = np.sqrt(params.eta_scatter) * np.exp(1j * params.phase)
+    up = np.array([[0.0, 0.0], [1.0, 0.0]])  # hierarchy index 0 -> 1
+    raise_m = np.kron(np.kron(up, np.eye(2)), c * (right(l_in.T) - left(l_in.T)))
+    raise_n = np.kron(np.kron(np.eye(2), up), np.conj(c) * (left(l_in) - right(l_in)))
+    return np.kron(eye, d), raise_m + raise_n
 
 
 def integrate_hierarchy(
@@ -133,14 +134,14 @@ def integrate_hierarchy(
     t_start: float,
     t_end: float,
     dt: float | None = None,
-    sample_every: int = 10,
 ) -> TransductionTrace:
     """Propagate the single-photon hierarchy with fixed-step RK4.
 
     The pulse must start in the far Gaussian tail (t_start < t_arrival - 4
     tau_f) and the step must resolve the envelope (dt <= tau_f / 100; the
-    default is tau_f / 1000). Raises IntegrationError if the trace of the
-    physical block drifts beyond 1e-5.
+    default is tau_f / 1000). Every SAMPLE_EVERY-th step and the last one are
+    stored. Raises IntegrationError if the trace of the physical block drifts
+    beyond 1e-5.
     """
     if dt is None:
         dt = params.tau_f / 1000.0
@@ -154,50 +155,30 @@ def integrate_hierarchy(
     if t_end <= t_start:
         raise ValueError("t_end must exceed t_start")
 
-    h, l1, l2 = _operators(params)
-    l1d, l2d = l1.T.copy(), l2.T.copy()
-    esum = l1d @ l1 + l2d @ l2
-    g_amp = np.sqrt(params.eta_scatter)
-    ph_m = g_amp * np.exp(1j * params.phase)
-    ph_n = g_amp * np.exp(-1j * params.phase)
+    a, b = _generators(params)
     pulse = params.pulse
 
+    def deriv(t, y):
+        return a @ y + float(pulse.amplitude(t)) * (b @ y)
+
     n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
-
-    rho = np.zeros((2, 2, 4, 4), dtype=complex)
-    rho[0, 0, _G, _G] = 1.0
-    rho[1, 1, _G, _G] = 1.0
-
-    def deriv(t, rho_in):
-        xi_t = float(pulse.amplitude(t))
-        out = -1j * (h @ rho_in - rho_in @ h)
-        out += l1 @ rho_in @ l1d + l2 @ rho_in @ l2d
-        out -= 0.5 * (esum @ rho_in + rho_in @ esum)
-        drive_m = (xi_t * ph_m) * (rho_in[0] @ l1d - l1d @ rho_in[0])
-        drive_n = (xi_t * ph_n) * (l1 @ rho_in[:, 0] - rho_in[:, 0] @ l1)
-        out[1] += drive_m
-        out[:, 1] += drive_n
-        return out
-
-    times = [t_start]
-    pe = [float(rho[1, 1, _E, _E].real)]
-    states = [FockHierarchyState.from_array(rho)]
-    for i in range(n_steps):
-        rho = rk4_step(rho, t_start + i * dt, dt, deriv)
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            tr = rho[1, 1].trace().real
-            if not abs(tr - 1.0) <= 1e-5:
-                raise IntegrationError(
-                    f"trace of the physical block drifted to {tr:.8f} at "
-                    f"t = {t_start + (i + 1) * dt:.4f} with dt = {dt}"
-                )
-            times.append(t_start + (i + 1) * dt)
-            pe.append(float(rho[1, 1, _E, _E].real))
-            states.append(FockHierarchyState.from_array(rho))
-
-    times = np.asarray(times)
-    pe = np.asarray(pe)
-    return TransductionTrace(times=times, pe=pe, pe_steady=float(pe.max()), states=tuple(states))
+    steps = np.append(np.arange(0, n_steps, SAMPLE_EVERY), n_steps)  # sampled step counts
+    times = t_start + steps * dt
+    states = np.zeros((steps.size, 2, 2, 4, 4), dtype=complex)
+    states[0, 0, 0, _G, _G] = states[0, 1, 1, _G, _G] = 1.0
+    y = states[0].ravel()
+    for k in range(1, steps.size):
+        for i in range(steps[k - 1], steps[k]):
+            y = rk4_step(y, t_start + i * dt, dt, deriv)
+        states[k] = y.reshape(2, 2, 4, 4)
+        tr = states[k, 1, 1].trace().real
+        if not abs(tr - 1.0) <= 1e-5:
+            raise IntegrationError(
+                f"trace of the physical block drifted to {tr:.8f} at "
+                f"t = {times[k]:.4f} with dt = {dt}"
+            )
+    pe = states[:, 1, 1, _E, _E].real.copy()
+    return TransductionTrace(times=times, pe=pe, pe_steady=float(pe.max()), states=states)
 
 
 @dataclass(frozen=True)

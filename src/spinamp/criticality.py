@@ -7,7 +7,7 @@ M_x = -<S_x>/N per qubit, to the field B_x that couples to it through the
     chi = dM_x/dB_x = -(1/N) d<S_x>/dB_x = -(1/2N) d^2 E_0/dB_x^2
 
 (Hellmann-Feynman). E_0 is concave in B_x, so chi >= 0. It is taken as a
-central difference with a relative step. The size scan uses the one-sided
+central difference with the relative step REL_STEP. The size scan uses the one-sided
 form M_x(bx)/bx at a fixed small probe field instead, which is how the
 chi-vs-N experiment is defined; M_x(0) = 0 because a pi rotation about z
 flips S_x and leaves the zero-field Hamiltonian unchanged.
@@ -34,6 +34,9 @@ from .lmg_statics import (
     order_parameters,
     solve_ground,
 )
+
+
+REL_STEP = 1e-2  # relative field step of the central-difference chi
 
 
 class InsufficientDataError(ValueError):
@@ -76,27 +79,16 @@ def _magnetization_x(result: GroundStateResult) -> float:
     return -expectation(sx, result.ground) / result.params.n_qubits
 
 
-def susceptibility_at(params: LmgParams, bx: float, rel_step: float = 1e-2) -> float:
-    """Central-difference chi(bx) = dM_x/d bx at the given field."""
+def susceptibility_at(params: LmgParams, bx: float) -> float:
+    """Central-difference chi(bx) = dM_x/d bx with the step REL_STEP * bx."""
     if bx <= 0.0:
         raise ValueError(f"bx must be positive, got {bx}")
-    if not 0.0 < rel_step <= 0.1:
-        raise ValueError(f"rel_step must lie in (0, 0.1], got {rel_step}")
-    up = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 + rel_step))))
-    dn = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 - rel_step))))
-    return (up - dn) / (2.0 * bx * rel_step)
+    up = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 + REL_STEP))))
+    dn = _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx * (1.0 - REL_STEP))))
+    return (up - dn) / (2.0 * bx * REL_STEP)
 
 
-def susceptibility_one_sided(params: LmgParams, bx: float) -> float:
-    """M_x(bx) / bx, the size-scan form (M_x vanishes at zero field)."""
-    if bx <= 0.0:
-        raise ValueError(f"bx must be positive, got {bx}")
-    return _magnetization_x(solve_ground(dataclasses.replace(params, bx=bx))) / bx
-
-
-def field_sweep(
-    params: LmgParams, bx_values: Sequence[float], rel_step: float = 1e-2
-) -> list[SweepPoint]:
+def field_sweep(params: LmgParams, bx_values: Sequence[float]) -> list[SweepPoint]:
     """One SweepPoint per field value, each from independent solves."""
     bx_values = np.asarray(bx_values, dtype=float)
     if np.any(bx_values <= 0.0):
@@ -107,7 +99,7 @@ def field_sweep(
             result = solve_ground(dataclasses.replace(params, bx=float(bx)))
             ops = order_parameters(result)
             corr = correlations(result)
-            chi = susceptibility_at(params, float(bx), rel_step=rel_step)
+            chi = susceptibility_at(params, float(bx))
         except Exception as err:
             raise RuntimeError(f"field sweep failed at bx = {bx:.6e}: {err}") from err
         points.append(

@@ -2,8 +2,8 @@
 
 The on-disk format is INI-style: a [run] section naming the experiment plus
 one section per parameter group. Unknown sections or keys are errors, not
-warnings; a silent typo would corrupt a physics run. Every experiment
-declares which sections it accepts.
+warnings; a silent typo would corrupt a physics run. An experiment takes
+exactly the sections its registry defaults fill in.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class AbsorberSection:
 
 @dataclass(frozen=True)
 class SweepSection:
-    variable: str
+    """Grid of the one quantity the experiment sweeps (bx, jx, N or delta_pp)."""
+
     lo: float
     hi: float
     points: int
@@ -76,6 +77,12 @@ class IntegrationSection:
     t_start: float
     t_end: float
     sample_every: int = 25
+
+    def __post_init__(self):
+        if self.dt <= 0.0:
+            raise ConfigError(f"integration dt must be positive, got {self.dt}")
+        if self.sample_every < 1:
+            raise ConfigError(f"integration sample_every must be >= 1, got {self.sample_every}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ _SECTION_TYPES = {
 }
 
 _INT_FIELDS = {"n_qubits", "points", "sample_every"}
-_STR_FIELDS = {"variable", "spacing", "directory"}
+_STR_FIELDS = {"spacing", "directory"}
 _BOOL_FIELDS = {"emit_svg"}
 
 

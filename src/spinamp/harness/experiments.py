@@ -431,17 +431,15 @@ def _run_figs8(cfg, out, clock, emit_svg):
 class Experiment:
     name: str
     description: str
-    defaults: ExperimentConfig
-    allowed_sections: frozenset
+    defaults: ExperimentConfig  # sections left None are not taken
     runner: object
 
 
-def _exp(name, description, runner, allowed, **sections):
+def _exp(name, description, runner, **sections):
     return Experiment(
         name=name,
         description=description,
         defaults=ExperimentConfig(experiment=name, **sections),
-        allowed_sections=frozenset(allowed) | {"output"},
         runner=runner,
     )
 
@@ -453,47 +451,42 @@ REGISTRY = {
             "fig2_gain_vs_bias",
             "gain traces for a J_x bias grid at N=400, J_y=0.7, B_x=0.01",
             _run_fig2,
-            ("model", "coupling", "pulse", "absorber", "sweep", "integration"),
             model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
             coupling=CouplingSection(bx=0.01),
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(variable="jx", lo=0.5, hi=0.675, points=2, spacing="linear"),
+            sweep=SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
         ),
         _exp(
             "fig3_qfunction",
             "Q-function snapshots at t in {-5,3,10,18} for critical and non-critical bias",
             _run_fig3,
-            ("model", "coupling", "pulse", "absorber", "sweep", "integration"),
             model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
             coupling=CouplingSection(bx=0.01),
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(variable="jx", lo=0.5, hi=0.675, points=2, spacing="linear"),
+            sweep=SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
         ),
         _exp(
             "fig4_susceptibility",
             "field sweep at the transition, susceptibility exponent fit, chi vs N",
             _run_fig4,
-            ("model", "sweep"),
             model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
-            sweep=SweepSection(variable="bx", lo=1e-6, hi=1e-2, points=33, spacing="log"),
+            sweep=SweepSection(lo=1e-6, hi=1e-2, points=33, spacing="log"),
         ),
         _exp(
             "fig5_correlation_gap",
             "higher-order correlator and gap sweeps with exponent fits",
             _run_fig5,
-            ("model", "sweep"),
             model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
-            sweep=SweepSection(variable="bx", lo=1e-6, hi=1e-2, points=33, spacing="log"),
+            sweep=SweepSection(lo=1e-6, hi=1e-2, points=33, spacing="log"),
         ),
         _exp(
             "figS1_absorption",
             "time-dependent absorption probability P_e(t)",
             _run_figs1,
-            ("pulse", "absorber", "integration"),
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0),
@@ -502,31 +495,28 @@ REGISTRY = {
             "figS2_transduction_map",
             "steady transduction probability over a (delta_pp, gamma) grid",
             _run_figs2,
-            ("pulse", "absorber", "sweep", "integration"),
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(variable="delta_pp", lo=0.0, hi=20.0, points=6, spacing="linear"),
+            sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0),
         ),
         _exp(
             "figS3_gain_scaling",
             "maximum gain and amplification time vs qubit number",
             _run_figs3,
-            ("model", "coupling", "pulse", "absorber", "sweep", "integration"),
             model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
             coupling=CouplingSection(bx=0.01),
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(variable="n_qubits", lo=100, hi=400, points=3, spacing="log"),
+            sweep=SweepSection(lo=100, hi=400, points=3, spacing="log"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
         ),
         _exp(
             "figS8_eta",
             "rescaled correlation eta vs field for several qubit numbers",
             _run_figs8,
-            ("model", "sweep"),
             model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
-            sweep=SweepSection(variable="bx", lo=1e-6, hi=1e-2, points=25, spacing="log"),
+            sweep=SweepSection(lo=1e-6, hi=1e-2, points=25, spacing="log"),
         ),
     )
 }
@@ -545,11 +535,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         raise ExperimentError("config", f"unknown experiment {cfg.experiment!r}")
     entry = REGISTRY[cfg.experiment]
     for section in ("model", "coupling", "pulse", "absorber", "sweep", "integration"):
-        if getattr(cfg, section) is not None and section not in entry.allowed_sections:
+        if getattr(cfg, section) is not None and getattr(entry.defaults, section) is None:
             raise ExperimentError(
                 "config", f"experiment {cfg.experiment} does not take a [{section}] section"
             )
-    if "coupling" in entry.allowed_sections:  # the absorber drives the amplifier
+    if entry.defaults.coupling is not None:  # the absorber drives the amplifier
         _check_drive_start(cfg)
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)

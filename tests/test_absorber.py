@@ -11,6 +11,26 @@ from spinamp.absorber import (
 from spinamp.stepping import IntegrationError
 
 RIDGE = dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0, tau_f=1.0)
+_G, _F, _H, _E = 0, 1, 2, 3
+
+
+def _block_deriv(params, xi, rho):
+    """The hierarchy derivative block by block, as 4x4 matrix products."""
+    h = np.zeros((4, 4))
+    h[_F, _H] = h[_H, _F] = params.delta_pp
+    l1 = np.zeros((4, 4))
+    l1[_G, _F] = np.sqrt(params.gamma_fg)
+    l2 = np.zeros((4, 4))
+    l2[_E, _H] = np.sqrt(params.gamma_he)
+    l1d, l2d = l1.T, l2.T
+    esum = l1d @ l1 + l2d @ l2
+    c = np.sqrt(params.eta_scatter) * np.exp(1j * params.phase)
+    out = -1j * (h @ rho - rho @ h)
+    out += l1 @ rho @ l1d + l2 @ rho @ l2d
+    out -= 0.5 * (esum @ rho + rho @ esum)
+    out[1] += xi * c * (rho[0] @ l1d - l1d @ rho[0])
+    out[:, 1] += xi * np.conj(c) * (l1 @ rho[:, 0] - rho[:, 0] @ l1)
+    return out
 
 
 def test_params_validation():
@@ -70,11 +90,29 @@ def test_absorption_rises_and_saturates():
 
 def test_trace_conservation_and_block_structure():
     params = AbsorberParams(**RIDGE)
-    trace = integrate_hierarchy(params, -5.0, 6.0)
-    for state in trace.states:
-        assert abs(np.trace(state.rho_11).real - 1.0) < 1e-6
-        assert state.hermiticity_defect() < 1e-10
-        assert state.min_eigenvalue_11() > -1e-8
+    rho = integrate_hierarchy(params, -5.0, 6.0).states
+    assert rho.shape[1:] == (2, 2, 4, 4)
+    assert np.abs(np.trace(rho[:, 1, 1], axis1=1, axis2=2).real - 1.0).max() < 1e-6
+    assert np.abs(rho - rho.transpose(0, 2, 1, 4, 3).conj()).max() < 1e-10  # rho_mn = rho_nm^+
+    assert np.linalg.eigvalsh(rho[:, 1, 1]).min() > -1e-8
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.37])
+def test_generators_match_block_derivative(xi):
+    params = AbsorberParams(**RIDGE, eta_scatter=0.6, phase=0.7)
+    a, b = absorber._generators(params)
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    expected = _block_deriv(params, xi, y.reshape(2, 2, 4, 4)).ravel()
+    assert np.abs(a @ y + xi * (b @ y) - expected).max() < 1e-13
+
+
+def test_scattering_efficiency_scales_transduction():
+    # rho_11 is second order in the photon amplitude: P_e scales with
+    # |c|^2 = eta, and the phase of c cancels
+    full = integrate_hierarchy(AbsorberParams(**RIDGE), -5.0, 4.0)
+    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta_scatter=0.6, phase=0.7), -5.0, 4.0)
+    assert np.abs(lossy.pe - 0.6 * full.pe).max() < 1e-12
 
 
 def test_vacuum_drive_keeps_blocks_equal():
@@ -83,8 +121,8 @@ def test_vacuum_drive_keeps_blocks_equal():
     trace = integrate_hierarchy(params, -5.0, 3.0, dt=2e-3)
     assert np.abs(trace.pe).max() == 0.0
     last = trace.states[-1]
-    assert np.abs(last.rho_11 - last.rho_00).max() < 1e-14
-    assert np.abs(last.rho_01).max() < 1e-14
+    assert np.abs(last[1, 1] - last[0, 0]).max() < 1e-14
+    assert np.abs(last[0, 1]).max() < 1e-14
 
 
 def test_step_halving_convergence():

@@ -9,7 +9,6 @@ from spinamp.criticality import (
     fit_power_law,
     size_sweep,
     susceptibility_at,
-    susceptibility_one_sided,
 )
 from spinamp.harness.oracle import brute_force_statics
 from spinamp.lmg_statics import LmgParams
@@ -57,10 +56,8 @@ def test_susceptibility_preconditions():
     params = LmgParams(n_qubits=10, jx=0.7, jy=0.7)
     with pytest.raises(ValueError):
         susceptibility_at(params, 0.0)
-    with pytest.raises(ValueError):
-        susceptibility_at(params, 1e-4, rel_step=0.5)
-    with pytest.raises(ValueError):
-        susceptibility_one_sided(params, -1e-4)
+    with pytest.raises(ValueError, match="bx must be positive"):
+        size_sweep(0.7, -1e-4, [4])
 
 
 @pytest.mark.parametrize("n", [4, 8, 10])

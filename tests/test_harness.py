@@ -53,8 +53,9 @@ def test_parse_rejects_unknown_section():
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text("[model]\nqubits = 4\n")
+    for text in ("[model]\nqubits = 4\n", "[sweep]\nvariable = bx\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(text)
 
 
 def test_parse_rejects_bad_values():
@@ -64,6 +65,13 @@ def test_parse_rejects_bad_values():
         parse_config_text("[model]\njx = zero\n")
     with pytest.raises(ConfigError, match="boolean"):
         parse_config_text("[output]\nemit_svg = maybe\n")
+    figs3 = default_config("figS3_gain_scaling")
+    for text, match in (
+        ("[integration]\ndt = 0\n", "dt must be positive"),
+        ("[integration]\nsample_every = 0\n", "sample_every must be >= 1"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            apply_overrides(figs3, parse_config_text(text)[1])
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "infinity"])
@@ -76,10 +84,10 @@ def test_parse_rejects_non_finite_numbers(raw):
 
 def test_sweep_section_validation_and_values():
     with pytest.raises(ConfigError, match="spacing"):
-        SweepSection(variable="bx", lo=1.0, hi=2.0, points=3, spacing="cubic")
-    lin = SweepSection(variable="bx", lo=0.5, hi=0.675, points=2, spacing="linear")
+        SweepSection(lo=1.0, hi=2.0, points=3, spacing="cubic")
+    lin = SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear")
     np.testing.assert_allclose(lin.values(), [0.5, 0.675])
-    log = SweepSection(variable="bx", lo=1e-6, hi=1e-2, points=5, spacing="log")
+    log = SweepSection(lo=1e-6, hi=1e-2, points=5, spacing="log")
     np.testing.assert_allclose(log.values(), np.geomspace(1e-6, 1e-2, 5))
 
 
@@ -159,7 +167,7 @@ def test_gain_trace_schema(tmp_path):
     cfg = dataclasses.replace(
         cfg,
         model=dataclasses.replace(cfg.model, n_qubits=24),
-        sweep=SweepSection(variable="jx", lo=0.675, hi=0.675, points=1, spacing="linear"),
+        sweep=SweepSection(lo=0.675, hi=0.675, points=1, spacing="linear"),
         integration=dataclasses.replace(cfg.integration, t_end=-2.0),
         output=OutputSection(directory=str(tmp_path)),
     )
@@ -174,7 +182,7 @@ def test_transduction_map_schema(tmp_path):
     cfg = default_config("figS2_transduction_map")
     cfg = dataclasses.replace(
         cfg,
-        sweep=SweepSection(variable="delta_pp", lo=0.0, hi=0.0, points=1, spacing="linear"),
+        sweep=SweepSection(lo=0.0, hi=0.0, points=1, spacing="linear"),
         integration=dataclasses.replace(cfg.integration, dt=1e-2, t_end=0.0),
         output=OutputSection(directory=str(tmp_path)),
     )
@@ -210,7 +218,7 @@ def test_gain_experiment_accepts_degenerate_bias(tmp_path):
     cfg = dataclasses.replace(
         cfg,
         model=dataclasses.replace(cfg.model, n_qubits=24),
-        sweep=SweepSection(variable="jx", lo=0.7, hi=0.7, points=1, spacing="linear"),
+        sweep=SweepSection(lo=0.7, hi=0.7, points=1, spacing="linear"),
         integration=dataclasses.replace(cfg.integration, t_end=-2.0),
         output=OutputSection(directory=str(tmp_path)),
     )
