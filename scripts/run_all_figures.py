@@ -3,9 +3,9 @@
 
 Usage: python scripts/run_all_figures.py [--out DIR] [--svg] [--only NAME ...]
 
-The heavier entries (the transduction map and the N=2000 sweeps) take a few
-minutes each; everything else finishes in seconds. Outputs land in one
-subdirectory per experiment, each with its own manifest.json.
+Each experiment takes seconds; the amplifier runs of fig2, fig3 and figS3
+take the longest. Outputs land in one subdirectory per experiment, each with
+its own manifest.json; the seconds of each stage are printed from it.
 """
 
 import argparse
@@ -42,6 +42,8 @@ def main(argv=None) -> int:
             print(f"   {err}", file=sys.stderr)
             return 1
         print(f"   {len(manifest.outputs)} files in {time.time() - t0:.1f} s")
+        for stage in manifest.stages:
+            print(f"     {stage['name']}: {stage['seconds']:.2f} s")
     return 0
 
 

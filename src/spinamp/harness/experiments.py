@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
+from ..absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
 from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain
 from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
@@ -168,8 +168,8 @@ def _check_drive_start(cfg: ExperimentConfig) -> None:
 
 
 def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
-    params = _absorber_params(cfg)
-    trace = integrate_hierarchy(params, cfg.integration.t_start, cfg.integration.t_end)
+    grid = cfg.integration
+    trace = integrate_hierarchy(_absorber_params(cfg), grid.t_start, grid.t_end, dt=grid.dt)
     return DriveSchedule.from_trace(trace, bx=cfg.coupling.bx)
 
 
@@ -360,9 +360,10 @@ def _run_figs2(cfg, out, clock, emit_svg):
     pulse = PulseEnvelope(tau_f=cfg.pulse.tau_f, t_arrival=cfg.pulse.t_arrival)
     deltas = cfg.sweep.values()
     gammas = np.linspace(5.0, 40.0, 8)
+    grid = cfg.integration
     with clock.stage("transduction-map"):
         tmap = optimize_transduction(
-            deltas, gammas, pulse, t_end=cfg.integration.t_end, dt=cfg.integration.dt
+            deltas, gammas, pulse, t_end=grid.t_end, dt=grid.dt, t_start=grid.t_start
         )
     rows = (
         (tmap.delta_pp_values[i], tmap.gamma_values[j], tmap.pe_steady[i, j])
@@ -489,7 +490,7 @@ REGISTRY = {
             _run_figs1,
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0),
+            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0, sample_every=SAMPLE_EVERY),
         ),
         _exp(
             "figS2_transduction_map",
@@ -498,7 +499,7 @@ REGISTRY = {
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
             sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0),
+            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0, sample_every=SAMPLE_EVERY),
         ),
         _exp(
             "figS3_gain_scaling",
@@ -541,6 +542,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
             )
     if entry.defaults.coupling is not None:  # the absorber drives the amplifier
         _check_drive_start(cfg)
+    elif cfg.integration is not None and cfg.integration.sample_every != SAMPLE_EVERY:
+        every = cfg.integration.sample_every  # the absorber alone stores every SAMPLE_EVERY steps
+        raise ExperimentError("config", f"[integration] sample_every = {every} must be {SAMPLE_EVERY}")
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()

@@ -3,12 +3,13 @@ import pytest
 
 from spinamp import absorber
 from spinamp.absorber import (
+    SAMPLE_EVERY,
     AbsorberParams,
     PulseEnvelope,
     integrate_hierarchy,
     optimize_transduction,
 )
-from spinamp.stepping import IntegrationError
+from spinamp.stepping import IntegrationError, rk4_step
 
 RIDGE = dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0, tau_f=1.0)
 _G, _F, _H, _E = 0, 1, 2, 3
@@ -33,6 +34,34 @@ def _block_deriv(params, xi, rho):
     return out
 
 
+def _hierarchy_rk4(params, t_start, t_end, dt):
+    """The 64-number hierarchy rho[m, n] under the same RK4, on the trace's sample grid."""
+    pulse = params.pulse
+    rho = np.zeros((2, 2, 4, 4), dtype=complex)
+    rho[0, 0, _G, _G] = rho[1, 1, _G, _G] = 1.0
+    n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
+    samples = [rho]
+    for i in range(n_steps):
+        rho = rk4_step(
+            rho, t_start + i * dt, dt, lambda t, r: _block_deriv(params, float(pulse.amplitude(t)), r)
+        )
+        if (i + 1) % SAMPLE_EVERY == 0 or i + 1 == n_steps:
+            samples.append(rho)
+    return np.array(samples)
+
+
+def reconstructed_blocks(trace):
+    """rho_11 and rho_10 per sample, rebuilt from the amplitudes and P_e."""
+    psi, pe = trace.states, trace.pe
+    rho11 = np.zeros((pe.size, 4, 4), dtype=complex)
+    rho11[:, _F:_E, _F:_E] = psi[:, :, None] * psi[:, None, :].conj()
+    rho11[:, _E, _E] = pe
+    rho11[:, _G, _G] = 1.0 - (np.abs(psi) ** 2).sum(axis=1) - pe
+    rho10 = np.zeros_like(rho11)
+    rho10[:, _F:_E, _G] = psi
+    return rho11, rho10
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         AbsorberParams(delta_pp=1.0, gamma_fg=0.0, gamma_he=1.0, tau_f=1.0)
@@ -50,10 +79,20 @@ def test_params_reject_non_finite():
         AbsorberParams(**RIDGE, t_arrival=float("inf"))
 
 
-def test_trace_guard_trips_on_nan(monkeypatch):
-    monkeypatch.setattr(absorber, "rk4_step", lambda rho, t, dt, deriv: np.full_like(rho, np.nan))
-    with pytest.raises(IntegrationError, match="trace"):
+def test_population_guard_trips_on_nan(monkeypatch):
+    step = absorber.rk4_step
+
+    def nan_in_last_cell(y, t, dt, deriv):
+        y = step(y, t, dt, deriv)
+        y.reshape(3, -1)[:, -1] = np.nan
+        return y
+
+    monkeypatch.setattr(absorber, "rk4_step", nan_in_last_cell)
+    with pytest.raises(IntegrationError, match=r"P_e = nan, p_g = nan .* t = -4\.9000 with dt = 0\.01"):
         integrate_hierarchy(AbsorberParams(**RIDGE), -5.0, -4.9, dt=1e-2)
+    pulse = PulseEnvelope(tau_f=1.0)
+    with pytest.raises(RuntimeError, match=r"map cell .* = \(10\.0, 20\.0, 20\.0\)"):
+        optimize_transduction([0.0, 10.0], [5.0, 20.0], pulse, t_end=-4.9, dt=1e-2)
 
 
 def test_pulse_norm_on_grid():
@@ -89,22 +128,33 @@ def test_absorption_rises_and_saturates():
 
 
 def test_trace_conservation_and_block_structure():
-    params = AbsorberParams(**RIDGE)
-    rho = integrate_hierarchy(params, -5.0, 6.0).states
-    assert rho.shape[1:] == (2, 2, 4, 4)
-    assert np.abs(np.trace(rho[:, 1, 1], axis1=1, axis2=2).real - 1.0).max() < 1e-6
-    assert np.abs(rho - rho.transpose(0, 2, 1, 4, 3).conj()).max() < 1e-10  # rho_mn = rho_nm^+
-    assert np.linalg.eigvalsh(rho[:, 1, 1]).min() > -1e-8
+    trace = integrate_hierarchy(AbsorberParams(**RIDGE), -5.0, 6.0)
+    assert trace.states.shape == (trace.times.size, 2)
+    rho11, _ = reconstructed_blocks(trace)
+    assert np.abs(np.trace(rho11, axis1=1, axis2=2).real - 1.0).max() < 1e-6
+    assert np.abs(rho11 - rho11.transpose(0, 2, 1).conj()).max() < 1e-10
+    assert np.linalg.eigvalsh(rho11).min() > -1e-8
 
 
-@pytest.mark.parametrize("xi", [0.0, 0.37])
-def test_generators_match_block_derivative(xi):
-    params = AbsorberParams(**RIDGE, eta_scatter=0.6, phase=0.7)
-    a, b = absorber._generators(params)
-    rng = np.random.default_rng(5)
-    y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    expected = _block_deriv(params, xi, y.reshape(2, 2, 4, 4)).ravel()
-    assert np.abs(a @ y + xi * (b @ y) - expected).max() < 1e-13
+@pytest.mark.parametrize(
+    "cell",
+    [
+        dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),  # fig2, fig3, figS3
+        dict(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),  # figS1
+        dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta_scatter=0.6, phase=0.7),
+    ],
+)
+def test_amplitudes_match_fock_hierarchy(cell):
+    # the atom starts in |g>, so the hierarchy closes on (psi, P_e): the two
+    # RK4 discretizations agree to rounding at dt = tau_f / 1000
+    params = AbsorberParams(**cell, tau_f=1.0)
+    trace = integrate_hierarchy(params, -5.0, 4.0)
+    rho = _hierarchy_rk4(params, -5.0, 4.0, 1e-3)
+    assert np.abs(trace.pe - rho[:, 1, 1, _E, _E].real).max() < 5e-14
+    rho11, rho10 = reconstructed_blocks(trace)
+    assert np.abs(rho11 - rho[:, 1, 1]).max() < 2e-13
+    assert np.abs(rho10 - rho[:, 1, 0]).max() < 2e-13
+    assert np.all(rho[:, 0, 0] == rho[0, 0, 0])  # rho_00 stays |g><g|
 
 
 def test_scattering_efficiency_scales_transduction():
@@ -120,9 +170,8 @@ def test_vacuum_drive_keeps_blocks_equal():
     params = AbsorberParams(delta_pp=5.0, gamma_fg=8.0, gamma_he=8.0, tau_f=1.0, t_arrival=1e6)
     trace = integrate_hierarchy(params, -5.0, 3.0, dt=2e-3)
     assert np.abs(trace.pe).max() == 0.0
-    last = trace.states[-1]
-    assert np.abs(last[1, 1] - last[0, 0]).max() < 1e-14
-    assert np.abs(last[0, 1]).max() < 1e-14
+    # psi = 0 keeps rho_11 = rho_00 = |g><g| and rho_01 = 0
+    assert np.abs(trace.states).max() < 1e-14
 
 
 def test_step_halving_convergence():
@@ -153,6 +202,11 @@ def test_optimize_transduction_grid():
     assert np.abs(tmap.pe_steady[0]).max() < 1e-12  # severed-arm row
     ridge_row = tmap.pe_steady[1]
     assert np.argmax(ridge_row) == 1  # gamma = 2 delta_pp wins
+    for i, d in enumerate([0.0, 10.0]):  # the batch steps each cell as one trace does
+        for j, g in enumerate([5.0, 20.0, 80.0]):
+            cell = AbsorberParams(delta_pp=d, gamma_fg=g, gamma_he=g, tau_f=1.0)
+            single = integrate_hierarchy(cell, -5.0, 8.0, dt=5e-3).pe_steady
+            assert abs(tmap.pe_steady[i, j] - single) <= 1e-15
     again = optimize_transduction([0.0, 10.0], [5.0, 20.0, 80.0], pulse, t_end=8.0, dt=5e-3)
     assert np.array_equal(tmap.pe_steady, again.pe_steady)
 
@@ -160,3 +214,5 @@ def test_optimize_transduction_grid():
 def test_optimize_transduction_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize_transduction([], [1.0], PulseEnvelope(tau_f=1.0))
+    with pytest.raises(ValueError, match="tail"):  # t_start passes the trace's precondition
+        optimize_transduction([1.0], [1.0], PulseEnvelope(tau_f=1.0), t_start=-3.0)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from spinamp.absorber import integrate_hierarchy
+from spinamp.harness import experiments
 from spinamp.harness.cli import main
 from spinamp.harness.config import (
     ConfigError,
@@ -116,6 +118,11 @@ def test_run_rejects_unneeded_section(tmp_path):
     )
     with pytest.raises(ExperimentError, match=r"\[config\]"):
         run_experiment(cfg)
+    # the absorber stores every 10th step; another sample_every would be ignored
+    figs1 = _figs1_config(tmp_path)
+    figs1 = dataclasses.replace(figs1, integration=dataclasses.replace(figs1.integration, sample_every=1))
+    with pytest.raises(ExperimentError, match=r"\[config\] \[integration\] sample_every = 1 must be 10"):
+        run_experiment(figs1)
 
 
 def test_run_rejects_late_t_start_before_any_stage(tmp_path):
@@ -191,6 +198,39 @@ def test_transduction_map_schema(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "delta_pp,gamma,pe_steady"
     assert all(line.split(",")[2] == "0" for line in lines[1:])  # severed-arm row
+    digests = []
+    for t_start in (-5.0, -6.0):  # [integration] t_start reaches the map
+        ridge = dataclasses.replace(
+            cfg,
+            sweep=SweepSection(lo=10.0, hi=10.0, points=1, spacing="linear"),
+            integration=dataclasses.replace(cfg.integration, t_start=t_start),
+            output=OutputSection(directory=str(tmp_path / f"t{t_start:g}")),
+        )
+        digests.append(run_experiment(ridge).outputs[0]["sha256"])
+    assert digests[0] != digests[1]
+
+
+def test_absorber_drive_follows_integration_dt(tmp_path, monkeypatch):
+    traces = []
+
+    def spy(*args, **kwargs):
+        traces.append(integrate_hierarchy(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments, "integrate_hierarchy", spy)
+    base = default_config("figS3_gain_scaling")
+    for dt in (1e-3, 5e-4):
+        run_experiment(
+            dataclasses.replace(
+                base,
+                sweep=SweepSection(lo=20, hi=20, points=1, spacing="linear"),
+                integration=dataclasses.replace(base.integration, dt=dt, t_end=-3.0),
+                output=OutputSection(directory=str(tmp_path / f"dt{dt:g}")),
+            )
+        )
+    coarse, fine = traces
+    assert fine.times.size == 2 * coarse.times.size - 1  # the absorber ran at the configured dt
+    assert np.abs(fine.pe[::2] - coarse.pe).max() < 1e-9
 
 
 def test_oracle_cap():
