@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepping import IntegrationError, rk4_step
+from .stepping import IntegrationError, rk4_step, sample_steps
 
 SAMPLE_EVERY = 10  # RK4 steps per stored sample
 POPULATION_TOL = 1e-5  # P_e and p_g must stay in [-tol, 1 + tol]
@@ -119,7 +119,7 @@ def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, d
         raise ValueError("t_end must exceed t_start")
 
     n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
-    steps = np.append(np.arange(0, n_steps, SAMPLE_EVERY), n_steps)  # sampled step counts
+    steps = sample_steps(n_steps, SAMPLE_EVERY)
     times = t_start + steps * dt
     # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
     xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * n_steps + 1))

@@ -16,7 +16,10 @@ import numpy as np
 
 from .dicke import DickeSpace, build_collective_operator, coherent_log_magnitudes, expectation
 from .lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from .stepping import IntegrationError, rk4_step
+from .stepping import IntegrationError, rk4_step, sample_steps
+
+Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
+Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,15 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class AmplifierTrajectory:
+    """The samples of one evolve run, on the grid of stepping.sample_steps.
+
+    states[k] is the renormalized state at times[k], one row of an
+    (n_samples, dimension) complex array; sx2[k] and sy2[k] are its
+    <S_x^2> and <S_y^2>.
+    """
+
     times: np.ndarray
-    states: np.ndarray  # (n_samples, dimension) complex, renormalized at samples
+    states: np.ndarray
     sx2: np.ndarray
     sy2: np.ndarray
     params: LmgParams
@@ -93,9 +103,13 @@ def evolve(
 ) -> AmplifierTrajectory:
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
-    The bias field lives in the drive; params.bx must be zero. Norm drift
-    accumulated across samples must stay below 1e-6 (states are renormalized
-    at sample points), otherwise IntegrationError names the step.
+    The bias field lives in the drive; params.bx must be zero. The span
+    t_end - t_start is round()ed to whole steps of dt, one rk4_step each.
+    A sample is stored at every sample_every-th step and after the last
+    one (stepping.sample_steps), written in place into arrays sized before
+    the first step. Norm drift accumulated across samples must stay below
+    1e-6 (states are renormalized at sample points), otherwise
+    IntegrationError names the step.
     """
     if params.bx != 0.0:
         raise ValueError("params.bx must be 0; the drive carries the coupling field")
@@ -130,44 +144,38 @@ def evolve(
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
 
-    psi = ground.ground.astype(complex)
-    times = [t_start]
-    states = [psi.copy()]
-    sx2_vals = [expectation(sx2, psi)]
-    sy2_vals = [expectation(sy2, psi)]
+    steps = sample_steps(n_steps, sample_every)
+    times = t_start + steps * dt
+    states = np.empty((steps.size, n), dtype=complex)
+    sx2_vals = np.empty(steps.size)
+    sy2_vals = np.empty(steps.size)
+    states[0] = ground.ground
+    psi = states[0]
+    sx2_vals[0] = expectation(sx2, psi)
+    sy2_vals[0] = expectation(sy2, psi)
     drift = 0.0
-    for i in range(n_steps):
-        psi = rk4_step(psi, t_start + i * dt, dt, deriv)
-        if (i + 1) % sample_every == 0 or i == n_steps - 1:
-            nrm = np.linalg.norm(psi)
-            drift += abs(nrm - 1.0)
-            if not drift <= 1e-6:
-                raise IntegrationError(
-                    f"norm drift {drift:.3e} exceeded 1e-6 at t = {t_start + (i + 1) * dt:.4f} "
-                    f"with dt = {dt}"
-                )
-            psi = psi / nrm
-            times.append(t_start + (i + 1) * dt)
-            states.append(psi.copy())
-            sx2_vals.append(expectation(sx2, psi))
-            sy2_vals.append(expectation(sy2, psi))
+    for k in range(1, steps.size):
+        for i in range(steps[k - 1], steps[k]):
+            psi = rk4_step(psi, t_start + i * dt, dt, deriv)
+        nrm = np.linalg.norm(psi)
+        drift += abs(nrm - 1.0)
+        if not drift <= 1e-6:
+            raise IntegrationError(
+                f"norm drift {drift:.3e} exceeded 1e-6 at t = {times[k]:.4f} with dt = {dt}"
+            )
+        states[k] = psi / nrm
+        psi = states[k]
+        sx2_vals[k] = expectation(sx2, psi)
+        sy2_vals[k] = expectation(sy2, psi)
 
-    return AmplifierTrajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        sx2=np.asarray(sx2_vals),
-        sy2=np.asarray(sy2_vals),
-        params=params,
-    )
+    return AmplifierTrajectory(times=times, states=states, sx2=sx2_vals, sy2=sy2_vals, params=params)
 
 
-def quantum_gain(traj: AmplifierTrajectory, t0: float, t_arrival: float = 0.0) -> GainTrace:
-    """Gain trace relative to <S_x^2> at the trajectory start t0."""
-    if abs(traj.times[0] - t0) > 1e-9:
-        raise ValueError(f"t0 = {t0} must be the first trajectory time {traj.times[0]}")
+def quantum_gain(traj: AmplifierTrajectory, *, t_arrival: float = 0.0) -> GainTrace:
+    """Gain trace relative to <S_x^2> at the first sample, traj.times[0]."""
     ref = traj.sx2[0]
     if ref < 1e-300:
-        raise ZeroDivisionError("degenerate gain denominator: <S_x^2>(t0) ~ 0")
+        raise ZeroDivisionError("degenerate gain denominator: <S_x^2> at the first sample ~ 0")
     gain = traj.sx2 / ref
     g_max = float(gain.max())
     idx = int(np.argmax(gain >= 0.95 * g_max))
@@ -196,20 +204,21 @@ class QFunctionGrid:
         return np.trapezoid(self.values * np.sin(self.theta)[:, None], self.theta, axis=0)
 
 
-def q_function(state: np.ndarray, space: DickeSpace, n_theta: int = 181, n_phi: int = 361) -> QFunctionGrid:
-    """Spin Q-function of a pure state, log-stable in the coherent overlaps."""
+def q_function(state: np.ndarray, space: DickeSpace) -> QFunctionGrid:
+    """Spin Q-function of a pure state on the 1-degree grid, log-stable in the
+    coherent overlaps."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (space.dimension,):
         raise ValueError("state length does not match the space dimension")
     nrm = np.linalg.norm(state)
     if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
-    theta = np.linspace(0.0, np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi)
+    theta = np.linspace(0.0, np.pi, Q_THETA_POINTS)
+    phi = np.linspace(0.0, 2.0 * np.pi, Q_PHI_POINTS)
     with np.errstate(under="ignore"):
-        mag = np.exp(coherent_log_magnitudes(space, theta))  # (n_theta, dim)
+        mag = np.exp(coherent_log_magnitudes(space, theta))  # (theta, dim)
     k = np.arange(space.dimension)
-    phases = np.exp(-1j * np.outer(k, phi))  # (dim, n_phi)
+    phases = np.exp(-1j * np.outer(k, phi))  # (dim, phi)
     overlap = (mag * state[np.newaxis, :]) @ phases
     values = (space.dimension / (4.0 * np.pi)) * np.abs(overlap) ** 2
     return QFunctionGrid(theta=theta, phi=phi, values=values)

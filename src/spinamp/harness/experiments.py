@@ -218,7 +218,7 @@ def _run_fig2(cfg, out, clock, emit_svg):
     for jx in cfg.sweep.values():
         with clock.stage(f"dynamics-jx={jx:g}"):
             traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
-            gain = quantum_gain(traj, cfg.integration.t_start, t_arrival=cfg.pulse.t_arrival)
+            gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
             files.append(write_csv(out / f"gain_jx{_jx_tag(float(jx))}.csv", GAIN_CSV, rows))
@@ -393,8 +393,8 @@ def _run_figs3(cfg, out, clock, emit_svg):
     for n in cfg.sweep.values():
         n = int(round(n))
         with clock.stage(f"dynamics-n={n}"):
-            traj = _amplify(cfg, drive, n, cfg.model.jx)
-            gain = quantum_gain(traj, cfg.integration.t_start, t_arrival=cfg.pulse.t_arrival)
+            # no name holds the trajectory, so its states are freed before the next N runs
+            gain = quantum_gain(_amplify(cfg, drive, n, cfg.model.jx), t_arrival=cfg.pulse.t_arrival)
             rows.append((n, gain.g_max, gain.t_am))
     files = [write_csv(out / "gain_scaling.csv", GAIN_SCALING_CSV, rows)]
     if emit_svg:
@@ -497,7 +497,6 @@ REGISTRY = {
             "steady transduction probability over a (delta_pp, gamma) grid",
             _run_figs2,
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-            absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
             sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0, sample_every=SAMPLE_EVERY),
         ),

@@ -8,6 +8,7 @@ import math
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
 _PALETTE = ("#c23b22", "#1f5fa6", "#3d8c40", "#8a5fb0", "#b8860b", "#4a4a4a")
+_MAX_CELLS = 200  # heatmap cells per axis; a longer axis keeps every k-th point
 
 # five-anchor ramp, dark blue -> yellow
 _RAMP = ((0.267, 0.005, 0.329), (0.229, 0.322, 0.546), (0.128, 0.567, 0.551),
@@ -134,10 +135,10 @@ def svg_chart(path, series, xlabel, ylabel, title, logx=False, logy=False):
     return path
 
 
-def svg_heatmap(path, x, y, z, xlabel, ylabel, title, max_cells=200):
+def svg_heatmap(path, x, y, z, xlabel, ylabel, title):
     """z[i, j] over y[i] (rows) and x[j] (columns), linear axes."""
-    sy = max(1, (len(y) - 1) // max_cells + 1)
-    sx = max(1, (len(x) - 1) // max_cells + 1)
+    sy = max(1, (len(y) - 1) // _MAX_CELLS + 1)
+    sx = max(1, (len(x) - 1) // _MAX_CELLS + 1)
     ys, xs, zs = y[::sy], x[::sx], z[::sy, ::sx]
     zmin, zmax = float(zs.min()), float(zs.max())
     span = zmax - zmin if zmax > zmin else 1.0

@@ -199,8 +199,8 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     parity eigenstate, not an arbitrary mix of the pair. At B_x != 0, E0 and
     E1 come from a banded eigenvalue-only solve, which forms no N x N
     transform, and the ground vector from banded inverse iteration at E0.
-    The vector is real, stored complex for uniformity, with a deterministic
-    global sign; its residual must stay within 1e-8 * max(|H|, 1).
+    The vector is real, with a deterministic global sign; its residual must
+    stay within 1e-8 * max(|H|, 1).
     """
     h = assemble_hamiltonian(params)
     try:
@@ -221,7 +221,7 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
             h.dimension,
             params,
         )
-    return GroundStateResult(e0=e0, e1=e1, gap=e1 - e0, ground=vec.astype(complex), params=params)
+    return GroundStateResult(e0=e0, e1=e1, gap=e1 - e0, ground=vec, params=params)
 
 
 def order_parameters(result: GroundStateResult) -> OrderParameters:
@@ -235,19 +235,15 @@ def order_parameters(result: GroundStateResult) -> OrderParameters:
 def correlations(result: GroundStateResult) -> CorrelationSet:
     """C_xxyy and the rescaled correlation eta.
 
-    Operator products are applied as successive banded applications to the
-    state; dense products are never formed.
+    One banded application of each of S_x^2 and S_y^2 to the real ground
+    vector gives both means and the product term; dense products are never
+    formed.
     """
     space = result.params.space
     psi = result.ground
-    sx2 = build_collective_operator(space, "Sx2")
-    sy2 = build_collective_operator(space, "Sy2")
-
-    x2_psi = sx2.matvec(psi)
-    y2_psi = sy2.matvec(psi)
-    mean_x2 = expectation(sx2, psi)
-    mean_y2 = expectation(sy2, psi)
-    c_xxyy = float(np.vdot(x2_psi, y2_psi).real) - mean_x2 * mean_y2
+    x2_psi = build_collective_operator(space, "Sx2").matvec(psi)
+    y2_psi = build_collective_operator(space, "Sy2").matvec(psi)
+    c_xxyy = float(x2_psi @ y2_psi) - float(psi @ x2_psi) * float(psi @ y2_psi)
 
     eta = (2.0 / result.params.n_qubits) * abs(c_xxyy) ** 0.25
     return CorrelationSet(c_xxyy=c_xxyy, eta=eta)

@@ -254,8 +254,8 @@ def test_c07a_gain_contrast(critical_trajectory, noncritical_trajectory):
     not raise the contrast either.
     """
     _clock("C7a")
-    g_crit = quantum_gain(critical_trajectory, -5.0).g_max
-    g_flat = quantum_gain(noncritical_trajectory, -5.0).g_max
+    g_crit = quantum_gain(critical_trajectory).g_max
+    g_flat = quantum_gain(noncritical_trajectory).g_max
     ratio = g_crit / g_flat
     ok = ratio >= 100.0
     assert _report(
@@ -268,7 +268,7 @@ def test_c07a_gain_contrast(critical_trajectory, noncritical_trajectory):
 
 def test_c07b_amplification_time(critical_trajectory):
     _clock("C7b")
-    t_am = quantum_gain(critical_trajectory, -5.0, t_arrival=0.0).t_am
+    t_am = quantum_gain(critical_trajectory, t_arrival=0.0).t_am
     ok = abs(t_am - 15.0) <= 3.0
     assert _report(
         "C7b (amplification time)", ok, f"eps*T_Am={t_am:.2f} vs 15 +/- 3", limit_s=120.0
@@ -277,10 +277,10 @@ def test_c07b_amplification_time(critical_trajectory):
 
 def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
     _clock("C8")
-    results = {400: quantum_gain(critical_trajectory, -5.0)}
+    results = {400: quantum_gain(critical_trajectory)}
     for n in (100, 200):
         traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7), absorber_drive, -5.0, 20.0)
-        results[n] = quantum_gain(traj, -5.0)
+        results[n] = quantum_gain(traj)
     ns = np.array(sorted(results), dtype=float)
     gm = np.array([results[int(n)].g_max for n in ns])
     ta = np.array([results[int(n)].t_am for n in ns])

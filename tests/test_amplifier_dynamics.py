@@ -12,7 +12,8 @@ from spinamp.amplifier_dynamics import (
     q_function,
     quantum_gain,
 )
-from spinamp.dicke import DickeSpace, coherent_amplitudes, expectation
+from spinamp.absorber import AbsorberParams, integrate_hierarchy
+from spinamp.dicke import DickeSpace, build_collective_operator, coherent_amplitudes, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian
 from spinamp.stepping import IntegrationError
 
@@ -99,13 +100,28 @@ def test_quantum_gain_definition():
         sy2=sx2,
         params=LmgParams(n_qubits=1, jx=0.0, jy=0.0),
     )
-    gain = quantum_gain(traj, 0.0, t_arrival=1.0)
+    gain = quantum_gain(traj, t_arrival=1.0)
     assert gain.gain[0] == 1.0
     assert gain.g_max == pytest.approx(10.0)
     # first crossing of 0.95 * g_max happens at t = 2.0, i.e. 1.0 after arrival
     assert gain.t_am == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        quantum_gain(traj, 0.5)
+    with pytest.raises(TypeError):  # the arrival time is keyword-only
+        quantum_gain(traj, 1.0)
+
+
+def test_last_partial_sample():
+    """A span that is no whole number of sample strides ends on a shorter stride."""
+    params = LmgParams(n_qubits=20, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]), bx=0.01)
+    traj = evolve(params, drive, -1.0, 0.01, dt=1e-3, sample_every=100)  # 1010 steps
+    assert np.array_equal(traj.times, -1.0 + 1e-3 * np.array([*range(0, 1001, 100), 1010]))
+    assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() < 1e-12
+    assert np.all(np.abs(np.diff(traj.states, axis=0)).max(axis=1) > 1e-6)
+    sx2 = build_collective_operator(params.space, "Sx2")
+    assert all(traj.sx2[k] == expectation(sx2, s) for k, s in enumerate(traj.states))
+    # the absorber keeps the same rule at its own stride of 10 steps
+    trace = integrate_hierarchy(AbsorberParams(10.0, 20.0, 20.0, tau_f=1.0), -5.0, -3.995)  # 1005 steps
+    assert np.array_equal(trace.times, -5.0 + 1e-3 * np.array([*range(0, 1001, 10), 1005]))
 
 
 def test_state_at_lookup():

@@ -8,6 +8,7 @@ from spinamp.absorber import integrate_hierarchy
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
 from spinamp.harness.config import (
+    AbsorberSection,
     ConfigError,
     OutputSection,
     SweepSection,
@@ -123,6 +124,14 @@ def test_run_rejects_unneeded_section(tmp_path):
     figs1 = dataclasses.replace(figs1, integration=dataclasses.replace(figs1.integration, sample_every=1))
     with pytest.raises(ExperimentError, match=r"\[config\] \[integration\] sample_every = 1 must be 10"):
         run_experiment(figs1)
+    # figS2 takes its rates from a fixed grid, so an [absorber] section would be ignored
+    figs2 = dataclasses.replace(
+        default_config("figS2_transduction_map"),
+        absorber=AbsorberSection(delta_pp=10.0, gamma_fg=3.0, gamma_he=3.0, eta=0.3),
+        output=OutputSection(directory=str(tmp_path)),
+    )
+    with pytest.raises(ExperimentError, match=r"\[config\] .*does not take a \[absorber\] section"):
+        run_experiment(figs2)
 
 
 def test_run_rejects_late_t_start_before_any_stage(tmp_path):
