@@ -2,40 +2,3 @@
 phase transition in an all-to-all coupled qubit amplifier."""
 
 __version__ = "0.1.0"
-
-from .dicke import (
-    BandedHermitianOperator,
-    DickeSpace,
-    SpinCoherentState,
-    build_collective_operator,
-    coherent_amplitudes,
-    expectation,
-)
-from .lmg_statics import (
-    CorrelationSet,
-    GroundStateResult,
-    LmgParams,
-    OrderParameters,
-    assemble_hamiltonian,
-    correlations,
-    order_parameters,
-    solve_ground,
-)
-
-__all__ = [
-    "__version__",
-    "BandedHermitianOperator",
-    "DickeSpace",
-    "SpinCoherentState",
-    "build_collective_operator",
-    "coherent_amplitudes",
-    "expectation",
-    "CorrelationSet",
-    "GroundStateResult",
-    "LmgParams",
-    "OrderParameters",
-    "assemble_hamiltonian",
-    "correlations",
-    "order_parameters",
-    "solve_ground",
-]

@@ -12,7 +12,6 @@ identically (the 2^N oracle in ``harness.oracle`` keeps S_y as the check).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -31,8 +30,8 @@ class DickeSpace:
     """Maximal collective-spin sector of ``n_qubits`` spin-1/2 particles.
 
     The basis is |S,m> with S = n_qubits/2 and m ascending from -S to +S.
-    S is kept as an exact rational; m values are half-integers, which are
-    exactly representable in binary floating point.
+    m values are half-integers, which are exactly representable in binary
+    floating point.
     """
 
     n_qubits: int
@@ -40,10 +39,6 @@ class DickeSpace:
     def __post_init__(self):
         if not isinstance(self.n_qubits, (int, np.integer)) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-
-    @property
-    def total_spin(self) -> Fraction:
-        return Fraction(self.n_qubits, 2)
 
     @property
     def dimension(self) -> int:

@@ -1,5 +1,1 @@
 """Experiment registry, configuration, serialization, and the full-space oracle."""
-
-from .oracle import OracleStatics, brute_force_statics
-
-__all__ = ["OracleStatics", "brute_force_statics"]

@@ -5,43 +5,53 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from ..lmg_statics import LmgParams, correlations, order_parameters, solve_ground
-from .config import ConfigError, apply_overrides, parse_config_file
+from .config import ConfigError, OutputSection, apply_overrides, parse_config_file
 from .experiments import REGISTRY, ExperimentError, default_config, run_experiment
 from .oracle import brute_force_statics
 
 
+def _run_configs(args) -> list:
+    """One config per named experiment (the whole registry if none), all built before any runs."""
+    names = args.experiments or list(REGISTRY)
+    overrides = {}
+    if args.config is not None:
+        if len(names) > 1:
+            raise ConfigError(f"--config applies to one experiment, got {len(names)}")
+        named, overrides = parse_config_file(args.config)
+        if named is not None and named != names[0]:
+            raise ConfigError(
+                f"config names experiment {named!r} but the command line says {names[0]!r}"
+            )
+    cfgs = []
+    for name in names:
+        cfg = apply_overrides(default_config(name), overrides)
+        out = args.out if len(names) == 1 else str(Path(args.out or ".") / name)
+        output = OutputSection(out or cfg.output.directory, args.svg or cfg.output.emit_svg)
+        cfgs.append(dataclasses.replace(cfg, output=output))
+    return cfgs
+
+
 def _cmd_run(args) -> int:
     try:
-        cfg = default_config(args.experiment)
-        if args.config is not None:
-            named, overrides = parse_config_file(args.config)
-            if named is not None and named != args.experiment:
-                raise ConfigError(
-                    f"config names experiment {named!r} but the command line says "
-                    f"{args.experiment!r}"
-                )
-            cfg = apply_overrides(cfg, overrides)
-        updates = {}
-        if args.out is not None:
-            updates["directory"] = args.out
-        if args.svg:
-            updates["emit_svg"] = True
-        if updates:
-            cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, **updates))
+        cfgs = _run_configs(args)
     except (ConfigError, OSError) as err:
         print(f"[config] {err}", file=sys.stderr)
         return 1
-    try:
-        manifest = run_experiment(cfg)
-    except ExperimentError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    for entry in manifest.outputs:
-        print(f"wrote {cfg.output.directory}/{entry['path']}")
-    total = sum(s["seconds"] for s in manifest.stages)
-    print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
+    for cfg in cfgs:
+        try:
+            manifest = run_experiment(cfg)
+        except ExperimentError as err:
+            print(str(err), file=sys.stderr)
+            return 1
+        for entry in manifest.outputs:
+            print(f"wrote {cfg.output.directory}/{entry['path']}")
+        for stage in manifest.stages:
+            print(f"  {stage['name']}: {stage['seconds']:.2f} s")
+        total = sum(s["seconds"] for s in manifest.stages)
+        print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
     return 0
 
 
@@ -88,10 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a registry experiment")
-    p_run.add_argument("experiment", help="experiment name (see 'spinamp list')")
-    p_run.add_argument("--config", help="sectioned key=value config file")
-    p_run.add_argument("--out", help="output directory (overrides config)")
+    p_run = sub.add_parser("run", help="run registry experiments")
+    p_run.add_argument(
+        "experiments", nargs="*", help="experiment names (see 'spinamp list'); none runs them all"
+    )
+    p_run.add_argument("--config", help="sectioned key=value config file (one experiment only)")
+    p_run.add_argument(
+        "--out", help="output directory (overrides config); with several experiments, OUT/<name>"
+    )
     p_run.add_argument("--svg", action="store_true", help="also emit SVG charts")
     p_run.set_defaults(func=_cmd_run)
 

@@ -3,14 +3,17 @@
 The on-disk format is INI-style: a [run] section naming the experiment plus
 one section per parameter group. Unknown sections or keys are errors, not
 warnings; a silent typo would corrupt a physics run. An experiment takes
-exactly the sections its registry defaults fill in.
+exactly the sections and keys its registry defaults set: a section or field
+left None there is not taken (see ``untaken``).
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ModelSection:
-    n_qubits: int
-    jx: float
+    n_qubits: int | None
+    jx: float | None
     jy: float
     epsilon: float = 1.0
 
@@ -76,12 +79,12 @@ class IntegrationSection:
     dt: float
     t_start: float
     t_end: float
-    sample_every: int = 25
+    sample_every: int | None = None
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ConfigError(f"integration dt must be positive, got {self.dt}")
-        if self.sample_every < 1:
+        if self.sample_every is not None and self.sample_every < 1:
             raise ConfigError(f"integration sample_every must be >= 1, got {self.sample_every}")
 
 
@@ -113,25 +116,29 @@ _SECTION_TYPES = {
     "output": OutputSection,
 }
 
-_INT_FIELDS = {"n_qubits", "points", "sample_every"}
-_STR_FIELDS = {"spacing", "directory"}
-_BOOL_FIELDS = {"emit_svg"}
+
+@functools.cache
+def _kind(section: str, key: str) -> type:
+    """The declared type of a section field: int, float, str or bool."""
+    hint = typing.get_type_hints(_SECTION_TYPES[section])[key]
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
 
 
 def _coerce(section: str, key: str, raw: str):
-    if key in _INT_FIELDS:
+    kind = _kind(section, key)
+    if kind is int:
         try:
             return int(raw)
         except ValueError as err:
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from err
-    if key in _BOOL_FIELDS:
+    if kind is bool:
         low = raw.strip().lower()
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
-    if key in _STR_FIELDS:
+    if kind is str:
         return raw.strip()
     try:
         value = float(raw)
@@ -181,35 +188,49 @@ def parse_config_file(path) -> tuple[str | None, dict[str, dict]]:
 
 
 def apply_overrides(defaults: ExperimentConfig, overrides: dict[str, dict]) -> ExperimentConfig:
-    """Merge parsed section overrides onto an experiment's default config."""
+    """Merge parsed section overrides onto an experiment's default config.
+
+    A section the defaults leave None is not taken and is rejected here;
+    ``untaken`` finds the keys, which ``run_experiment`` rejects.
+    """
     updates = {}
     for section, vals in overrides.items():
         current = getattr(defaults, section)
         if current is None:
-            cls = _SECTION_TYPES[section]
-            try:
-                updates[section] = cls(**vals)
-            except TypeError as err:
-                raise ConfigError(f"incomplete section [{section}]: {err}") from err
-        else:
-            updates[section] = dataclasses.replace(current, **vals)
+            raise ConfigError(f"experiment {defaults.experiment} does not take [{section}]")
+        updates[section] = dataclasses.replace(current, **vals)
     return dataclasses.replace(defaults, **updates)
 
 
-def _format_value(key: str, v) -> str:
+def untaken(cfg: ExperimentConfig, defaults: ExperimentConfig) -> str | None:
+    """The first section or key that cfg sets and defaults leave None, e.g. "[model] jx"."""
+    for section in _SECTION_TYPES:
+        given, default = getattr(cfg, section), getattr(defaults, section)
+        if given is None:
+            continue
+        if default is None:
+            return f"[{section}]"
+        for f in dataclasses.fields(given):
+            if getattr(given, f.name) is not None and getattr(default, f.name) is None:
+                return f"[{section}] {f.name}"
+    return None
+
+
+def _format_value(section: str, key: str, v) -> str:
     # mirror the parsing rules so serialize -> parse is the identity even
     # when a default was written with an integer literal
-    if key in _BOOL_FIELDS:
+    kind = _kind(section, key)
+    if kind is bool:
         return "true" if v else "false"
-    if key in _INT_FIELDS:
+    if kind is int:
         return str(int(v))
-    if key in _STR_FIELDS:
+    if kind is str:
         return str(v)
     return repr(float(v))
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to the sectioned key=value text form.
+    """Render a config back to the sectioned key=value text form, without None values.
 
     parse -> serialize -> parse is the identity on every section present.
     """
@@ -220,6 +241,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             continue
         lines.append(f"[{section}]")
         for f in dataclasses.fields(value):
-            lines.append(f"{f.name} = {_format_value(f.name, getattr(value, f.name))}")
+            v = getattr(value, f.name)
+            if v is not None:
+                lines.append(f"{f.name} = {_format_value(section, f.name, v)}")
         lines.append("")
     return "\n".join(lines)

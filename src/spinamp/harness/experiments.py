@@ -8,6 +8,7 @@ digests of every emitted file. SVG emission is optional and presentational.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
+from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
 from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain
 from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
@@ -33,6 +34,7 @@ from .config import (
     PulseSection,
     SweepSection,
     serialize_config,
+    untaken,
 )
 
 # Power-law fit windows (in units of epsilon). The correlator and gap
@@ -72,22 +74,14 @@ class _StageClock:
         self.records = []
         self.current = "setup"
 
+    @contextlib.contextmanager
     def stage(self, name):
-        clock = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                clock.current = name
-                self_inner.t0 = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, exc_type, exc, tb):
-                clock.records.append(
-                    {"name": name, "seconds": time.perf_counter() - self_inner.t0}
-                )
-                return False
-
-        return _Ctx()
+        self.current = name
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.records.append({"name": name, "seconds": time.perf_counter() - t0})
 
 
 def _fmt(v) -> str:
@@ -202,8 +196,13 @@ def _fit_row(name, fit):
     )
 
 
-def _jx_tag(jx: float) -> str:
-    return ("%g" % jx).replace(".", "p").replace("-", "m")
+def _tag(value: float) -> str:
+    return ("%g" % value).replace(".", "p").replace("-", "m")
+
+
+def _grid_rows(x, y, values):
+    """Rows (x[i], y[j], values[i, j]), x-major."""
+    return zip(np.repeat(x, y.size), np.tile(y, x.size), values.ravel())
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def _run_fig2(cfg, out, clock, emit_svg):
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
-            files.append(write_csv(out / f"gain_jx{_jx_tag(float(jx))}.csv", GAIN_CSV, rows))
+            files.append(write_csv(out / f"gain_jx{_tag(jx)}.csv", GAIN_CSV, rows))
             curves.append((traj.times, gain.gain, f"jx={jx:g}", "line"))
     if emit_svg:
         files.append(
@@ -243,12 +242,8 @@ def _run_fig3(cfg, out, clock, emit_svg):
         with clock.stage(f"qfunction-jx={jx:g}"):
             for t_snap in snapshots:
                 grid = q_function(traj.state_at(t_snap), traj.params.space)
-                rows = (
-                    (grid.theta[i], grid.phi[j], grid.values[i, j])
-                    for i in range(grid.theta.size)
-                    for j in range(grid.phi.size)
-                )
-                name = f"qfunction_jx{_jx_tag(float(jx))}_t{('%g' % t_snap).replace('-', 'm')}"
+                name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
+                rows = _grid_rows(grid.theta, grid.phi, grid.values)
                 files.append(write_csv(out / f"{name}.csv", QFUNC_CSV, rows))
                 if emit_svg:
                     files.append(
@@ -365,11 +360,7 @@ def _run_figs2(cfg, out, clock, emit_svg):
         tmap = optimize_transduction(
             deltas, gammas, pulse, t_end=grid.t_end, dt=grid.dt, t_start=grid.t_start
         )
-    rows = (
-        (tmap.delta_pp_values[i], tmap.gamma_values[j], tmap.pe_steady[i, j])
-        for i in range(tmap.delta_pp_values.size)
-        for j in range(tmap.gamma_values.size)
-    )
+    rows = _grid_rows(tmap.delta_pp_values, tmap.gamma_values, tmap.pe_steady)
     files = [write_csv(out / "transduction_map.csv", TMAP_CSV, rows)]
     if emit_svg:
         files.append(
@@ -432,7 +423,7 @@ def _run_figs8(cfg, out, clock, emit_svg):
 class Experiment:
     name: str
     description: str
-    defaults: ExperimentConfig  # sections left None are not taken
+    defaults: ExperimentConfig  # sections and fields left None are not taken
     runner: object
 
 
@@ -445,6 +436,24 @@ def _exp(name, description, runner, **sections):
     )
 
 
+# The paper's pulse through the absorber into the amplifier at B_x = 0.01.
+_DRIVEN = dict(
+    coupling=CouplingSection(bx=0.01),
+    pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
+    absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
+    integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0, sample_every=25),
+)
+# Non-critical and critical J_x at N = 400; the sweep sets J_x.
+_BIAS_PAIR = dict(
+    model=ModelSection(n_qubits=400, jx=None, jy=0.7),
+    sweep=SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear"),
+)
+# The N = 1000 field sweep on the transition line J_x = J_y.
+_LINE_SWEEP = dict(
+    model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
+    sweep=SweepSection(lo=1e-6, hi=1e-2, points=33, spacing="log"),
+)
+
 REGISTRY = {
     e.name: e
     for e in (
@@ -452,37 +461,27 @@ REGISTRY = {
             "fig2_gain_vs_bias",
             "gain traces for a J_x bias grid at N=400, J_y=0.7, B_x=0.01",
             _run_fig2,
-            model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
-            coupling=CouplingSection(bx=0.01),
-            pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-            absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
+            **_BIAS_PAIR,
+            **_DRIVEN,
         ),
         _exp(
             "fig3_qfunction",
             "Q-function snapshots at t in {-5,3,10,18} for critical and non-critical bias",
             _run_fig3,
-            model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
-            coupling=CouplingSection(bx=0.01),
-            pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-            absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-            sweep=SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
+            **_BIAS_PAIR,
+            **_DRIVEN,
         ),
         _exp(
             "fig4_susceptibility",
             "field sweep at the transition, susceptibility exponent fit, chi vs N",
             _run_fig4,
-            model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
-            sweep=SweepSection(lo=1e-6, hi=1e-2, points=33, spacing="log"),
+            **_LINE_SWEEP,
         ),
         _exp(
             "fig5_correlation_gap",
             "higher-order correlator and gap sweeps with exponent fits",
             _run_fig5,
-            model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
-            sweep=SweepSection(lo=1e-6, hi=1e-2, points=33, spacing="log"),
+            **_LINE_SWEEP,
         ),
         _exp(
             "figS1_absorption",
@@ -490,7 +489,7 @@ REGISTRY = {
             _run_figs1,
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberSection(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0, sample_every=SAMPLE_EVERY),
+            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0),
         ),
         _exp(
             "figS2_transduction_map",
@@ -498,24 +497,21 @@ REGISTRY = {
             _run_figs2,
             pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
             sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0, sample_every=SAMPLE_EVERY),
+            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0),
         ),
         _exp(
             "figS3_gain_scaling",
             "maximum gain and amplification time vs qubit number",
             _run_figs3,
-            model=ModelSection(n_qubits=400, jx=0.675, jy=0.7),
-            coupling=CouplingSection(bx=0.01),
-            pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-            absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
+            model=ModelSection(n_qubits=None, jx=0.675, jy=0.7),
             sweep=SweepSection(lo=100, hi=400, points=3, spacing="log"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0),
+            **_DRIVEN,
         ),
         _exp(
             "figS8_eta",
             "rescaled correlation eta vs field for several qubit numbers",
             _run_figs8,
-            model=ModelSection(n_qubits=1000, jx=0.7, jy=0.7),
+            model=ModelSection(n_qubits=None, jx=0.7, jy=0.7),
             sweep=SweepSection(lo=1e-6, hi=1e-2, points=25, spacing="log"),
         ),
     )
@@ -534,16 +530,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if cfg.experiment not in REGISTRY:
         raise ExperimentError("config", f"unknown experiment {cfg.experiment!r}")
     entry = REGISTRY[cfg.experiment]
-    for section in ("model", "coupling", "pulse", "absorber", "sweep", "integration"):
-        if getattr(cfg, section) is not None and getattr(entry.defaults, section) is None:
-            raise ExperimentError(
-                "config", f"experiment {cfg.experiment} does not take a [{section}] section"
-            )
+    extra = untaken(cfg, entry.defaults)
+    if extra is not None:
+        raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
     if entry.defaults.coupling is not None:  # the absorber drives the amplifier
         _check_drive_start(cfg)
-    elif cfg.integration is not None and cfg.integration.sample_every != SAMPLE_EVERY:
-        every = cfg.integration.sample_every  # the absorber alone stores every SAMPLE_EVERY steps
-        raise ExperimentError("config", f"[integration] sample_every = {every} must be {SAMPLE_EVERY}")
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     clock = _StageClock()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ gamma_he = 10.0
 dt = 5e-3
 t_start = -5.0
 t_end = 2.0
-sample_every = 10
 """
 
 
@@ -117,12 +117,13 @@ def test_run_rejects_unneeded_section(tmp_path):
         absorber=default_config("figS1_absorption").absorber,
         output=OutputSection(directory=str(tmp_path)),
     )
-    with pytest.raises(ExperimentError, match=r"\[config\]"):
+    untaken = r"\[config\] experiment fig4_susceptibility does not take \[absorber\]$"
+    with pytest.raises(ExperimentError, match=untaken):
         run_experiment(cfg)
-    # the absorber stores every 10th step; another sample_every would be ignored
+    # the absorber stores on its own grid, so figS1 takes no sample_every
     figs1 = _figs1_config(tmp_path)
     figs1 = dataclasses.replace(figs1, integration=dataclasses.replace(figs1.integration, sample_every=1))
-    with pytest.raises(ExperimentError, match=r"\[config\] \[integration\] sample_every = 1 must be 10"):
+    with pytest.raises(ExperimentError, match=r"\[config\] .*does not take \[integration\] sample_every"):
         run_experiment(figs1)
     # figS2 takes its rates from a fixed grid, so an [absorber] section would be ignored
     figs2 = dataclasses.replace(
@@ -130,8 +131,36 @@ def test_run_rejects_unneeded_section(tmp_path):
         absorber=AbsorberSection(delta_pp=10.0, gamma_fg=3.0, gamma_he=3.0, eta=0.3),
         output=OutputSection(directory=str(tmp_path)),
     )
-    with pytest.raises(ExperimentError, match=r"\[config\] .*does not take a \[absorber\] section"):
+    with pytest.raises(ExperimentError, match=r"\[config\] .*does not take \[absorber\]$"):
         run_experiment(figs2)
+    # a config file's untaken section is rejected as it is merged
+    _, overrides = parse_config_text("[absorber]\neta = 0.3\n")
+    untaken = r"^experiment figS2_transduction_map does not take \[absorber\]$"
+    with pytest.raises(ConfigError, match=untaken):
+        apply_overrides(default_config("figS2_transduction_map"), overrides)
+
+
+@pytest.mark.parametrize(
+    "name, section, key, raw",
+    [
+        ("fig2_gain_vs_bias", "model", "jx", "0.6"),  # the sweep sets J_x
+        ("fig3_qfunction", "model", "jx", "0.6"),
+        ("figS3_gain_scaling", "model", "n_qubits", "100"),  # the sweep sets N
+        ("figS8_eta", "model", "n_qubits", "500"),  # N is fixed at 500, 1000, 2000
+        ("figS1_absorption", "integration", "sample_every", "10"),  # the absorber's own grid
+        ("figS2_transduction_map", "integration", "sample_every", "10"),
+    ],
+)
+def test_run_rejects_untaken_key(tmp_path, name, section, key, raw):
+    _, overrides = parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    cfg = dataclasses.replace(
+        apply_overrides(default_config(name), overrides),
+        output=OutputSection(directory=str(tmp_path / "out")),
+    )
+    untaken = rf"^\[config\] experiment {name} does not take \[{section}\] {key}$"
+    with pytest.raises(ExperimentError, match=untaken):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_late_t_start_before_any_stage(tmp_path):
@@ -168,6 +197,47 @@ def test_figs1_run_emits_schema_manifest_and_is_deterministic(tmp_path):
     again = run_experiment(_figs1_config(tmp_path, "b"))
     assert sha256_file(csv_path) == sha256_file(tmp_path / "b" / "absorption.csv")
     assert [o["sha256"] for o in manifest.outputs] == [o["sha256"] for o in again.outputs]
+
+
+def test_failure_names_its_stage(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("population left [0, 1]")
+
+    monkeypatch.setattr(experiments, "integrate_hierarchy", broken)
+    with pytest.raises(ExperimentError) as info:
+        run_experiment(_figs1_config(tmp_path))
+    assert info.value.stage == "absorber"
+    assert str(info.value).startswith("[absorber] population left")
+
+
+# small overrides that keep each run under a second; fig3's fixed t = 18
+# snapshot forces a full-length trajectory, and figS2 already draws a heatmap
+TINY = {
+    "fig2_gain_vs_bias": "[model]\nn_qubits = 24\n[integration]\nt_end = -2\n",
+    "fig4_susceptibility": "[model]\nn_qubits = 100\n[sweep]\npoints = 9\n",
+    "fig5_correlation_gap": "[model]\nn_qubits = 100\n[sweep]\npoints = 9\n",
+    "figS1_absorption": SMALL_FIGS1,
+    "figS2_transduction_map": "[sweep]\npoints = 2\n[integration]\ndt = 1e-2\nt_end = 0\n",
+    "figS3_gain_scaling": "[sweep]\nlo = 20\nhi = 40\npoints = 2\n[integration]\nt_end = -2\n",
+    "figS8_eta": "[sweep]\npoints = 5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY))
+def test_svg_run_adds_parseable_charts_and_keeps_csvs(tmp_path, name):
+    _, overrides = parse_config_text(TINY[name])
+    cfg = apply_overrides(default_config(name), overrides)
+    digests = {}
+    for svg in (False, True):
+        out = tmp_path / f"svg{svg}"
+        manifest = run_experiment(dataclasses.replace(cfg, output=OutputSection(str(out), svg)))
+        assert verify_manifest(out / "manifest.json")
+        digests[svg] = {o["path"]: o["sha256"] for o in manifest.outputs}
+    charts = [path for path in digests[True] if path.endswith(".svg")]
+    assert charts
+    for path in charts:
+        assert ET.parse(tmp_path / "svgTrue" / path).getroot().tag.endswith("svg")
+    assert {p: d for p, d in digests[True].items() if p not in charts} == digests[False]
 
 
 def test_manifest_detects_corruption(tmp_path):
@@ -299,6 +369,26 @@ def test_cli_run_experiment_name_mismatch(tmp_path, capsys):
     cfg_file.write_text("[run]\nexperiment = fig4_susceptibility\n")
     assert main(["run", "figS1_absorption", "--config", str(cfg_file)]) == 1
     assert "[config]" in capsys.readouterr().err
+
+
+def test_cli_run_several_experiments(tmp_path, capsys):
+    names = ["figS1_absorption", "fig5_correlation_gap"]
+    assert main(["run", *names, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    for name in names:
+        assert verify_manifest(tmp_path / name / "manifest.json")
+        assert f"{name}: " in out
+    assert "  absorber: " in out and "  field-sweep: " in out  # stage seconds
+
+
+def test_cli_run_rejects_config_for_several(tmp_path, capsys):
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(SMALL_FIGS1)
+    out_dir = tmp_path / "out"
+    for names in (["figS1_absorption", "fig5_correlation_gap"], []):
+        assert main(["run", *names, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+        assert "[config]" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_run_figs1(tmp_path, capsys):
