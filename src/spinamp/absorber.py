@@ -29,38 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepping import IntegrationError, rk4_step, sample_steps
+from .stepping import IntegrationError, rk4_step, sample_grid
 
 SAMPLE_EVERY = 10  # RK4 steps per stored sample
 POPULATION_TOL = 1e-5  # P_e and p_g must stay in [-tol, 1 + tol]
 
 
-@dataclass(frozen=True)
-class AbsorberParams:
-    """Absorber rates and pulse parameters, in units of the amplifier splitting."""
-
-    delta_pp: float
-    gamma_fg: float
-    gamma_he: float
-    tau_f: float
-    t_arrival: float = 0.0
-    eta_scatter: float = 1.0
-    phase: float = 0.0
-
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.gamma_fg <= 0.0 or self.gamma_he <= 0.0:
-            raise ValueError("decay rates must be positive")
-        if self.tau_f <= 0.0:
-            raise ValueError("pulse length must be positive")
-        if not 0.0 < self.eta_scatter <= 1.0:
-            raise ValueError(f"eta_scatter must lie in (0, 1], got {self.eta_scatter}")
-
-    @property
-    def pulse(self) -> "PulseEnvelope":
-        return PulseEnvelope(tau_f=self.tau_f, t_arrival=self.t_arrival)
+def _require_finite(obj) -> None:
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +53,20 @@ class PulseEnvelope:
     tau_f: float
     t_arrival: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self)
+        if self.tau_f <= 0.0:
+            raise ValueError(f"tau_f must be positive, got {self.tau_f}")
+
+    def check_start(self, t_start: float) -> None:
+        """A run starts in the pulse's vacuum tail: t_start <= t_arrival - 5 tau_f."""
+        latest = self.t_arrival - 5.0 * self.tau_f
+        if t_start > latest:
+            raise ValueError(
+                f"t_start = {t_start:.15g} is later than "
+                f"t_arrival - 5 tau_f = {latest:.15g} (pulse tail)"
+            )
+
     def amplitude(self, t):
         t = np.asarray(t, dtype=float)
         pref = (2.0 * np.pi * self.tau_f**2) ** (-0.25)
@@ -82,6 +75,25 @@ class PulseEnvelope:
     def norm_on_grid(self, times: np.ndarray) -> float:
         amp = self.amplitude(times)
         return float(np.trapezoid(amp * amp, times))
+
+
+@dataclass(frozen=True)
+class AbsorberParams:
+    """The atom: rates in units of the amplifier splitting, coupling c = sqrt(eta) e^{i phase}."""
+
+    delta_pp: float
+    gamma_fg: float
+    gamma_he: float
+    eta: float = 1.0
+    phase: float = 0.0
+
+    def __post_init__(self):
+        _require_finite(self)
+        for name in ("gamma_fg", "gamma_he"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -108,21 +120,12 @@ def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, d
     """
     if dt is None:
         dt = pulse.tau_f / 1000.0
-    if t_start >= pulse.t_arrival - 4.0 * pulse.tau_f:
-        raise ValueError(
-            f"t_start = {t_start} must precede t_arrival - 4 tau_f = "
-            f"{pulse.t_arrival - 4.0 * pulse.tau_f} (pulse tail)"
-        )
+    pulse.check_start(t_start)
     if dt > pulse.tau_f / 100.0:
         raise ValueError(f"dt = {dt} exceeds tau_f / 100 = {pulse.tau_f / 100.0}")
-    if t_end <= t_start:
-        raise ValueError("t_end must exceed t_start")
-
-    n_steps = int(np.ceil((t_end - t_start) / dt - 1e-12))
-    steps = sample_steps(n_steps, SAMPLE_EVERY)
-    times = t_start + steps * dt
+    steps, times = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
     # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
-    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * n_steps + 1))
+    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))
     half_steps = 2.0 / dt
     m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
     source = -coupling * np.sqrt(gamma_fg)
@@ -156,25 +159,27 @@ def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, d
 
 def integrate_hierarchy(
     params: AbsorberParams,
+    pulse: PulseEnvelope,
     t_start: float,
     t_end: float,
     dt: float | None = None,
 ) -> TransductionTrace:
-    """Propagate one absorber's amplitudes and P_e with fixed-step RK4.
+    """Propagate one absorber's amplitudes and P_e under one pulse with fixed-step RK4.
 
-    The pulse must start in the far Gaussian tail (t_start < t_arrival - 4
-    tau_f) and the step must resolve the envelope (dt <= tau_f / 100; the
-    default is tau_f / 1000). Every SAMPLE_EVERY-th step and the last one are
-    stored. Raises IntegrationError, naming the rates, t and dt, if P_e or
-    p_g = 1 - |psi|^2 - P_e leaves [-POPULATION_TOL, 1 + POPULATION_TOL].
+    The run must start in the pulse's tail (PulseEnvelope.check_start) and
+    the step must resolve the envelope (dt <= tau_f / 100; the default is
+    tau_f / 1000). Every SAMPLE_EVERY-th step and the last one are stored
+    (stepping.sample_grid). Raises IntegrationError, naming the rates, t
+    and dt, if P_e or p_g = 1 - |psi|^2 - P_e leaves
+    [-POPULATION_TOL, 1 + POPULATION_TOL].
 
     The name predates the two-amplitude form. The trace is still the whole
     single-photon Fock hierarchy, carried by the amplitudes it closes on, and
     callers and the benchmark's tracer look the function up by this name.
     """
-    coupling = np.sqrt(params.eta_scatter) * np.exp(1j * params.phase)
+    coupling = np.sqrt(params.eta) * np.exp(1j * params.phase)
     times, y = _amplitudes(
-        params.pulse, params.delta_pp, params.gamma_fg, params.gamma_he, coupling, t_start, t_end, dt
+        pulse, params.delta_pp, params.gamma_fg, params.gamma_he, coupling, t_start, t_end, dt
     )
     pe = y[:, 2].real.copy()
     return TransductionTrace(times=times, pe=pe, pe_steady=float(pe.max()), states=y[:, :2])
@@ -213,7 +218,7 @@ def optimize_transduction(
     d, g = np.meshgrid(delta_pp_values, gamma_values, indexing="ij")
     for dd, gg in zip(d.flat, g.flat):
         try:
-            AbsorberParams(dd, gg, gg, tau_f=pulse.tau_f, t_arrival=pulse.t_arrival)
+            AbsorberParams(dd, gg, gg)
         except ValueError as err:
             raise RuntimeError(f"transduction map cell (delta_pp={dd}, gamma={gg}) failed: {err}") from err
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dicke import DickeSpace, build_collective_operator, coherent_log_magnitudes, expectation
 from .lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from .stepping import IntegrationError, rk4_step, sample_steps
+from .stepping import IntegrationError, rk4_step, sample_grid, sample_index
 
 Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
 Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
@@ -62,7 +62,7 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class AmplifierTrajectory:
-    """The samples of one evolve run, on the grid of stepping.sample_steps.
+    """The samples of one evolve run, on the grid of stepping.sample_grid.
 
     states[k] is the renormalized state at times[k], one row of an
     (n_samples, dimension) complex array; sx2[k] and sy2[k] are its
@@ -76,10 +76,7 @@ class AmplifierTrajectory:
     params: LmgParams
 
     def state_at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
-            raise ValueError(f"no stored sample at t = {t}; nearest is {self.times[idx]}")
-        return self.states[idx]
+        return self.states[sample_index(self.times, t)]
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,10 @@ def evolve(
 ) -> AmplifierTrajectory:
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
-    The bias field lives in the drive; params.bx must be zero. The span
-    t_end - t_start is round()ed to whole steps of dt, one rk4_step each.
-    A sample is stored at every sample_every-th step and after the last
-    one (stepping.sample_steps), written in place into arrays sized before
-    the first step. Norm drift accumulated across samples must stay below
+    The bias field lives in the drive; params.bx must be zero. One
+    rk4_step per step of dt; a sample is stored on the grid of
+    stepping.sample_grid, written in place into arrays sized before the
+    first step. Norm drift accumulated across samples must stay below
     1e-6 (states are renormalized at sample points), otherwise
     IntegrationError names the step.
     """
@@ -117,6 +113,7 @@ def evolve(
         raise ValueError(f"dt = {dt} exceeds the 1e-3 propagation bound")
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
+    steps, times = sample_grid(t_start, t_end, dt, sample_every)
 
     space = params.space
     ground = solve_ground(params)
@@ -127,9 +124,6 @@ def evolve(
     b2 = h.bands[2][: n - 2]
     sx_band = space.ladder_coefficients() / 2.0  # first band of S_x
 
-    n_steps = int(round((t_end - t_start) / dt))
-    if n_steps < 1:
-        raise ValueError("t_end must exceed t_start by at least one step")
     two_bx = 2.0 * drive.bx
 
     def deriv(t, psi):
@@ -144,8 +138,6 @@ def evolve(
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
 
-    steps = sample_steps(n_steps, sample_every)
-    times = t_start + steps * dt
     states = np.empty((steps.size, n), dtype=complex)
     sx2_vals = np.empty(steps.size)
     sy2_vals = np.empty(steps.size)

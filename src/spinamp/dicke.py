@@ -127,18 +127,6 @@ class BandedHermitianOperator:
         return ab
 
 
-@dataclass(frozen=True)
-class SpinCoherentState:
-    """Maximal-polarization state along (theta, phi) on the collective sphere."""
-
-    theta: float
-    phi: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, dtype=complex))
-
-
 def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianOperator:
     """Build S_z, S_x, or the analytic pentadiagonal S_x^2 / S_y^2.
 
@@ -222,11 +210,14 @@ def coherent_log_magnitudes(space: DickeSpace, thetas: np.ndarray) -> np.ndarray
     return out
 
 
-def coherent_amplitudes(space: DickeSpace, theta: float, phi: float) -> SpinCoherentState:
-    """Amplitudes <S,m|theta,phi> = sqrt(C(2S,S+m)) cos^(S+m)(t/2) sin^(S-m)(t/2) e^{-i(S-m)phi}."""
+def coherent_amplitudes(space: DickeSpace, theta: float, phi: float) -> np.ndarray:
+    """Amplitudes <S,m|theta,phi> = sqrt(C(2S,S+m)) cos^(S+m)(t/2) sin^(S-m)(t/2) e^{-i(S-m)phi}.
+
+    The spin coherent state along (theta, phi), as a read-only complex array.
+    """
     log_mag = coherent_log_magnitudes(space, np.array([theta]))[0]
     with np.errstate(under="ignore"):
         mag = np.exp(log_mag)
     k = np.arange(space.dimension)
     amps = mag * np.exp(-1j * (space.n_qubits - k) * phi)
-    return SpinCoherentState(theta=float(theta), phi=float(phi), amplitudes=amps)
+    return _frozen_array(amps, dtype=complex)

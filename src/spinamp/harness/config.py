@@ -4,7 +4,9 @@ The on-disk format is INI-style: a [run] section naming the experiment plus
 one section per parameter group. Unknown sections or keys are errors, not
 warnings; a silent typo would corrupt a physics run. An experiment takes
 exactly the sections and keys its registry defaults set: a section or field
-left None there is not taken (see ``untaken``).
+left None there is not taken (see ``untaken``). [pulse] and [absorber] parse
+straight into the absorber's PulseEnvelope and AbsorberParams, whose own
+checks run as the config is built.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..absorber import AbsorberParams, PulseEnvelope
 
 
 class ConfigError(ValueError):
@@ -37,21 +41,6 @@ class CouplingSection:
 
 
 @dataclass(frozen=True)
-class PulseSection:
-    tau_f: float
-    t_arrival: float = 0.0
-
-
-@dataclass(frozen=True)
-class AbsorberSection:
-    delta_pp: float
-    gamma_fg: float
-    gamma_he: float
-    eta: float = 1.0
-    phase: float = 0.0
-
-
-@dataclass(frozen=True)
 class SweepSection:
     """Grid of the one quantity the experiment sweeps (bx, jx, N or delta_pp)."""
 
@@ -62,9 +51,9 @@ class SweepSection:
 
     def __post_init__(self):
         if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"sweep spacing must be 'linear' or 'log', got {self.spacing!r}")
+            raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.points < 1:
-            raise ConfigError("sweep points must be >= 1")
+            raise ConfigError(f"points must be >= 1, got {self.points}")
 
     def values(self) -> np.ndarray:
         if self.points == 1:
@@ -83,9 +72,9 @@ class IntegrationSection:
 
     def __post_init__(self):
         if self.dt <= 0.0:
-            raise ConfigError(f"integration dt must be positive, got {self.dt}")
+            raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.sample_every is not None and self.sample_every < 1:
-            raise ConfigError(f"integration sample_every must be >= 1, got {self.sample_every}")
+            raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
 
 
 @dataclass(frozen=True)
@@ -99,8 +88,8 @@ class ExperimentConfig:
     experiment: str
     model: ModelSection | None = None
     coupling: CouplingSection | None = None
-    pulse: PulseSection | None = None
-    absorber: AbsorberSection | None = None
+    pulse: PulseEnvelope | None = None
+    absorber: AbsorberParams | None = None
     sweep: SweepSection | None = None
     integration: IntegrationSection | None = None
     output: OutputSection = OutputSection()
@@ -109,8 +98,8 @@ class ExperimentConfig:
 _SECTION_TYPES = {
     "model": ModelSection,
     "coupling": CouplingSection,
-    "pulse": PulseSection,
-    "absorber": AbsorberSection,
+    "pulse": PulseEnvelope,
+    "absorber": AbsorberParams,
     "sweep": SweepSection,
     "integration": IntegrationSection,
     "output": OutputSection,
@@ -191,14 +180,18 @@ def apply_overrides(defaults: ExperimentConfig, overrides: dict[str, dict]) -> E
     """Merge parsed section overrides onto an experiment's default config.
 
     A section the defaults leave None is not taken and is rejected here;
-    ``untaken`` finds the keys, which ``run_experiment`` rejects.
+    ``untaken`` finds the keys, which ``run_experiment`` rejects. A value
+    its section type refuses is a ConfigError tagged with the section.
     """
     updates = {}
     for section, vals in overrides.items():
         current = getattr(defaults, section)
         if current is None:
             raise ConfigError(f"experiment {defaults.experiment} does not take [{section}]")
-        updates[section] = dataclasses.replace(current, **vals)
+        try:
+            updates[section] = dataclasses.replace(current, **vals)
+        except ValueError as err:
+            raise ConfigError(f"[{section}] {err}") from err
     return dataclasses.replace(defaults, **updates)
 
 

@@ -23,15 +23,14 @@ from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy, optim
 from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain
 from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
+from ..stepping import sample_grid, sample_index
 from . import svgplot
 from .config import (
-    AbsorberSection,
     ConfigError,
     CouplingSection,
     ExperimentConfig,
     IntegrationSection,
     ModelSection,
-    PulseSection,
     SweepSection,
     serialize_config,
     untaken,
@@ -49,6 +48,7 @@ CXXYY_FIT_WINDOW = (1e-4, 1e-2)
 GAP_FIT_WINDOW = (1e-4, 1e-2)
 
 FLOAT_FMT = "%.17g"
+FIG3_SNAPSHOTS = (-5.0, 3.0, 10.0, 18.0)
 
 
 class ExperimentError(RuntimeError):
@@ -69,8 +69,13 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2)
 
 
-class _StageClock:
-    def __init__(self):
+class _Run:
+    """One run's stages and the files it writes into out, SVG only if asked for."""
+
+    def __init__(self, out: Path, emit_svg: bool):
+        self.out = out
+        self.emit_svg = emit_svg
+        self.files = []
         self.records = []
         self.current = "setup"
 
@@ -82,6 +87,17 @@ class _StageClock:
             yield
         finally:
             self.records.append({"name": name, "seconds": time.perf_counter() - t0})
+
+    def csv(self, name, header, rows):
+        self.files.append(write_csv(self.out / name, header, rows))
+
+    def chart(self, name, *args, **kwargs):
+        if self.emit_svg:
+            self.files.append(svgplot.svg_chart(self.out / name, *args, **kwargs))
+
+    def heatmap(self, name, *args):
+        if self.emit_svg:
+            self.files.append(svgplot.svg_heatmap(self.out / name, *args))
 
 
 def _fmt(v) -> str:
@@ -133,37 +149,9 @@ GAIN_SCALING_CSV = ("n", "g_max", "t_am")
 ABSORPTION_CSV = ("t", "pe")
 
 
-def _absorber_params(cfg: ExperimentConfig) -> AbsorberParams:
-    a, p = cfg.absorber, cfg.pulse
-    return AbsorberParams(
-        delta_pp=a.delta_pp,
-        gamma_fg=a.gamma_fg,
-        gamma_he=a.gamma_he,
-        tau_f=p.tau_f,
-        t_arrival=p.t_arrival,
-        eta_scatter=a.eta,
-        phase=a.phase,
-    )
-
-
-def _check_drive_start(cfg: ExperimentConfig) -> None:
-    """The amplifier and the absorber both start at t_start, before the pulse.
-
-    The absorber trace must begin in the vacuum, 5 tau_f ahead of the pulse
-    centre, and the amplifier may not start after the trace's first sample.
-    """
-    latest = cfg.pulse.t_arrival - 5.0 * cfg.pulse.tau_f
-    if cfg.integration.t_start > latest:
-        raise ExperimentError(
-            "config",
-            f"[integration] t_start = {cfg.integration.t_start:g} is later than "
-            f"t_arrival - 5 tau_f = {latest:g}",
-        )
-
-
 def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
     grid = cfg.integration
-    trace = integrate_hierarchy(_absorber_params(cfg), grid.t_start, grid.t_end, dt=grid.dt)
+    trace = integrate_hierarchy(cfg.absorber, cfg.pulse, grid.t_start, grid.t_end, dt=grid.dt)
     return DriveSchedule.from_trace(trace, bx=cfg.coupling.bx)
 
 
@@ -209,214 +197,162 @@ def _grid_rows(x, y, values):
 # runners
 
 
-def _run_fig2(cfg, out, clock, emit_svg):
-    with clock.stage("absorber"):
+def _run_fig2(cfg, run):
+    with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
-    files = []
     curves = []
     for jx in cfg.sweep.values():
-        with clock.stage(f"dynamics-jx={jx:g}"):
+        with run.stage(f"dynamics-jx={jx:g}"):
             traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
-            files.append(write_csv(out / f"gain_jx{_tag(jx)}.csv", GAIN_CSV, rows))
+            run.csv(f"gain_jx{_tag(jx)}.csv", GAIN_CSV, rows)
             curves.append((traj.times, gain.gain, f"jx={jx:g}", "line"))
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True
-            )
-        )
-    return files
+    run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)
 
 
-def _run_fig3(cfg, out, clock, emit_svg):
-    snapshots = (-5.0, 3.0, 10.0, 18.0)
-    with clock.stage("absorber"):
+def _check_fig3(cfg):
+    """Each snapshot time must be a stored amplifier sample."""
+    grid = cfg.integration
+    _, times = sample_grid(grid.t_start, grid.t_end, grid.dt, grid.sample_every)
+    for t_snap in FIG3_SNAPSHOTS:
+        sample_index(times, t_snap)
+
+
+def _run_fig3(cfg, run):
+    with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
-    files = []
     for jx in cfg.sweep.values():
-        with clock.stage(f"dynamics-jx={jx:g}"):
+        with run.stage(f"dynamics-jx={jx:g}"):
             traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
-        with clock.stage(f"qfunction-jx={jx:g}"):
-            for t_snap in snapshots:
+        with run.stage(f"qfunction-jx={jx:g}"):
+            for t_snap in FIG3_SNAPSHOTS:
                 grid = q_function(traj.state_at(t_snap), traj.params.space)
                 name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
-                rows = _grid_rows(grid.theta, grid.phi, grid.values)
-                files.append(write_csv(out / f"{name}.csv", QFUNC_CSV, rows))
-                if emit_svg:
-                    files.append(
-                        svgplot.svg_heatmap(
-                            out / f"{name}.svg",
-                            grid.phi,
-                            grid.theta,
-                            grid.values,
-                            "phi",
-                            "theta",
-                            f"Q(theta, phi) at t={t_snap:g}, jx={jx:g}",
-                        )
-                    )
-    return files
+                run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(grid.theta, grid.phi, grid.values))
+                title = f"Q(theta, phi) at t={t_snap:g}, jx={jx:g}"
+                run.heatmap(f"{name}.svg", grid.phi, grid.theta, grid.values, "phi", "theta", title)
 
 
-def _run_fig4(cfg, out, clock, emit_svg):
+def _run_fig4(cfg, run):
     params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
-    bx_values = cfg.sweep.values()
-    with clock.stage("field-sweep"):
-        points = field_sweep(params, bx_values)
-    files = [write_csv(out / "susceptibility_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))]
-    with clock.stage("fit"):
+    with run.stage("field-sweep"):
+        points = field_sweep(params, cfg.sweep.values())
+    run.csv("susceptibility_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
+    with run.stage("fit"):
         chi_fit = fit_power_law([(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
-        files.append(write_csv(out / "fits.csv", FITS_CSV, [_fit_row("chi", chi_fit)]))
-    with clock.stage("size-sweep"):
-        n_values = np.arange(200, 2001, 200)
-        rows = size_sweep(cfg.model.jx, 1e-5, n_values, epsilon=cfg.model.epsilon)
-        files.append(write_csv(out / "chi_vs_n.csv", SIZE_CSV, rows))
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "susceptibility.svg",
-                [([p.bx for p in points], [p.chi for p in points], "chi", "dots")],
-                "bx",
-                "chi",
-                f"susceptibility, fitted exponent {chi_fit.exponent:.3f}",
-                logx=True,
-                logy=True,
-            )
-        )
-        files.append(
-            svgplot.svg_chart(
-                out / "chi_vs_n.svg",
-                [([r.n for r in rows], [r.chi for r in rows], "chi", "dots")],
-                "N",
-                "chi",
-                "susceptibility vs qubit number",
-            )
-        )
-    return files
+        run.csv("fits.csv", FITS_CSV, [_fit_row("chi", chi_fit)])
+    with run.stage("size-sweep"):
+        rows = size_sweep(cfg.model.jx, 1e-5, np.arange(200, 2001, 200), epsilon=cfg.model.epsilon)
+        run.csv("chi_vs_n.csv", SIZE_CSV, rows)
+    run.chart(
+        "susceptibility.svg",
+        [([p.bx for p in points], [p.chi for p in points], "chi", "dots")],
+        "bx",
+        "chi",
+        f"susceptibility, fitted exponent {chi_fit.exponent:.3f}",
+        logx=True,
+        logy=True,
+    )
+    run.chart(
+        "chi_vs_n.svg",
+        [([r.n for r in rows], [r.chi for r in rows], "chi", "dots")],
+        "N",
+        "chi",
+        "susceptibility vs qubit number",
+    )
 
 
-def _run_fig5(cfg, out, clock, emit_svg):
+def _run_fig5(cfg, run):
     params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
-    bx_values = cfg.sweep.values()
-    with clock.stage("field-sweep"):
-        points = field_sweep(params, bx_values)
-    files = [write_csv(out / "correlation_gap_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))]
-    with clock.stage("fit"):
+    with run.stage("field-sweep"):
+        points = field_sweep(params, cfg.sweep.values())
+    run.csv("correlation_gap_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
+    with run.stage("fit"):
         c_fit = fit_power_law([(p.bx, abs(p.c_xxyy)) for p in points], CXXYY_FIT_WINDOW)
         gap_fit = fit_power_law([(p.bx, p.gap) for p in points], GAP_FIT_WINDOW)
-        files.append(
-            write_csv(
-                out / "fits.csv",
-                FITS_CSV,
-                [_fit_row("abs_c_xxyy", c_fit), _fit_row("gap", gap_fit)],
-            )
-        )
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "correlation_gap.svg",
-                [
-                    ([p.bx for p in points], [abs(p.c_xxyy) for p in points], "|C_xxyy|", "dots"),
-                    ([p.bx for p in points], [p.gap for p in points], "gap", "dots"),
-                ],
-                "bx",
-                "value",
-                f"correlator exponent {-c_fit.exponent:.3f}, gap exponent {gap_fit.exponent:.3f}",
-                logx=True,
-                logy=True,
-            )
-        )
-    return files
+        run.csv("fits.csv", FITS_CSV, [_fit_row("abs_c_xxyy", c_fit), _fit_row("gap", gap_fit)])
+    run.chart(
+        "correlation_gap.svg",
+        [
+            ([p.bx for p in points], [abs(p.c_xxyy) for p in points], "|C_xxyy|", "dots"),
+            ([p.bx for p in points], [p.gap for p in points], "gap", "dots"),
+        ],
+        "bx",
+        "value",
+        f"correlator exponent {-c_fit.exponent:.3f}, gap exponent {gap_fit.exponent:.3f}",
+        logx=True,
+        logy=True,
+    )
 
 
-def _run_figs1(cfg, out, clock, emit_svg):
-    params = _absorber_params(cfg)
-    with clock.stage("absorber"):
-        trace = integrate_hierarchy(
-            params, cfg.integration.t_start, cfg.integration.t_end, dt=cfg.integration.dt
-        )
-    files = [write_csv(out / "absorption.csv", ABSORPTION_CSV, zip(trace.times, trace.pe))]
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "absorption.svg",
-                [(trace.times, trace.pe, "P_e(t)", "line")],
-                "t",
-                "P_e",
-                f"absorption, steady value {trace.pe_steady:.4f}",
-            )
-        )
-    return files
-
-
-def _run_figs2(cfg, out, clock, emit_svg):
-    pulse = PulseEnvelope(tau_f=cfg.pulse.tau_f, t_arrival=cfg.pulse.t_arrival)
-    deltas = cfg.sweep.values()
-    gammas = np.linspace(5.0, 40.0, 8)
+def _run_figs1(cfg, run):
     grid = cfg.integration
-    with clock.stage("transduction-map"):
+    with run.stage("absorber"):
+        trace = integrate_hierarchy(cfg.absorber, cfg.pulse, grid.t_start, grid.t_end, dt=grid.dt)
+    run.csv("absorption.csv", ABSORPTION_CSV, zip(trace.times, trace.pe))
+    run.chart(
+        "absorption.svg",
+        [(trace.times, trace.pe, "P_e(t)", "line")],
+        "t",
+        "P_e",
+        f"absorption, steady value {trace.pe_steady:.4f}",
+    )
+
+
+def _run_figs2(cfg, run):
+    grid = cfg.integration
+    with run.stage("transduction-map"):
         tmap = optimize_transduction(
-            deltas, gammas, pulse, t_end=grid.t_end, dt=grid.dt, t_start=grid.t_start
+            cfg.sweep.values(),
+            np.linspace(5.0, 40.0, 8),
+            cfg.pulse,
+            t_end=grid.t_end,
+            dt=grid.dt,
+            t_start=grid.t_start,
         )
     rows = _grid_rows(tmap.delta_pp_values, tmap.gamma_values, tmap.pe_steady)
-    files = [write_csv(out / "transduction_map.csv", TMAP_CSV, rows)]
-    if emit_svg:
-        files.append(
-            svgplot.svg_heatmap(
-                out / "transduction_map.svg",
-                tmap.gamma_values,
-                tmap.delta_pp_values,
-                tmap.pe_steady,
-                "gamma",
-                "delta_pp",
-                "steady transduction probability",
-            )
-        )
-    return files
+    run.csv("transduction_map.csv", TMAP_CSV, rows)
+    run.heatmap(
+        "transduction_map.svg",
+        tmap.gamma_values,
+        tmap.delta_pp_values,
+        tmap.pe_steady,
+        "gamma",
+        "delta_pp",
+        "steady transduction probability",
+    )
 
 
-def _run_figs3(cfg, out, clock, emit_svg):
-    with clock.stage("absorber"):
+def _run_figs3(cfg, run):
+    with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
     rows = []
     for n in cfg.sweep.values():
         n = int(round(n))
-        with clock.stage(f"dynamics-n={n}"):
+        with run.stage(f"dynamics-n={n}"):
             # no name holds the trajectory, so its states are freed before the next N runs
             gain = quantum_gain(_amplify(cfg, drive, n, cfg.model.jx), t_arrival=cfg.pulse.t_arrival)
             rows.append((n, gain.g_max, gain.t_am))
-    files = [write_csv(out / "gain_scaling.csv", GAIN_SCALING_CSV, rows)]
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "gain_scaling.svg",
-                [([r[0] for r in rows], [r[1] for r in rows], "g_max", "dots")],
-                "N",
-                "g_max",
-                "gain vs qubit number",
-            )
-        )
-    return files
+    run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)
+    run.chart(
+        "gain_scaling.svg",
+        [([r[0] for r in rows], [r[1] for r in rows], "g_max", "dots")],
+        "N",
+        "g_max",
+        "gain vs qubit number",
+    )
 
 
-def _run_figs8(cfg, out, clock, emit_svg):
-    bx_values = cfg.sweep.values()
-    files = []
+def _run_figs8(cfg, run):
     curves = []
     for n in (500, 1000, 2000):
-        with clock.stage(f"field-sweep-n={n}"):
-            points = field_sweep(_lmg_params(cfg, n, cfg.model.jx), bx_values)
-        files.append(write_csv(out / f"eta_n{n}.csv", SWEEP_CSV, map(dataclasses.astuple, points)))
+        with run.stage(f"field-sweep-n={n}"):
+            points = field_sweep(_lmg_params(cfg, n, cfg.model.jx), cfg.sweep.values())
+        run.csv(f"eta_n{n}.csv", SWEEP_CSV, map(dataclasses.astuple, points))
         curves.append(([p.bx for p in points], [p.eta for p in points], f"N={n}", "line"))
-    if emit_svg:
-        files.append(
-            svgplot.svg_chart(
-                out / "eta.svg", curves, "bx", "eta", "correlated fraction vs field", logx=True
-            )
-        )
-    return files
+    run.chart("eta.svg", curves, "bx", "eta", "correlated fraction vs field", logx=True)
 
 
 @dataclass(frozen=True)
@@ -424,23 +360,25 @@ class Experiment:
     name: str
     description: str
     defaults: ExperimentConfig  # sections and fields left None are not taken
-    runner: object
+    runner: object  # runner(cfg, run) computes and writes through the _Run
+    check: object = None  # check(cfg) raises ValueError on a config the runner cannot use
 
 
-def _exp(name, description, runner, **sections):
+def _exp(name, description, runner, check=None, **sections):
     return Experiment(
         name=name,
         description=description,
         defaults=ExperimentConfig(experiment=name, **sections),
         runner=runner,
+        check=check,
     )
 
 
 # The paper's pulse through the absorber into the amplifier at B_x = 0.01.
 _DRIVEN = dict(
     coupling=CouplingSection(bx=0.01),
-    pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-    absorber=AbsorberSection(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
+    pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
+    absorber=AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
     integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0, sample_every=25),
 )
 # Non-critical and critical J_x at N = 400; the sweep sets J_x.
@@ -468,6 +406,7 @@ REGISTRY = {
             "fig3_qfunction",
             "Q-function snapshots at t in {-5,3,10,18} for critical and non-critical bias",
             _run_fig3,
+            _check_fig3,
             **_BIAS_PAIR,
             **_DRIVEN,
         ),
@@ -487,15 +426,15 @@ REGISTRY = {
             "figS1_absorption",
             "time-dependent absorption probability P_e(t)",
             _run_figs1,
-            pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
-            absorber=AbsorberSection(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
+            pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
+            absorber=AbsorberParams(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0),
         ),
         _exp(
             "figS2_transduction_map",
             "steady transduction probability over a (delta_pp, gamma) grid",
             _run_figs2,
-            pulse=PulseSection(tau_f=1.0, t_arrival=0.0),
+            pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
             sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
             integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0),
         ),
@@ -533,24 +472,27 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     extra = untaken(cfg, entry.defaults)
     if extra is not None:
         raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
-    if entry.defaults.coupling is not None:  # the absorber drives the amplifier
-        _check_drive_start(cfg)
+    try:
+        if cfg.pulse is not None:  # every run with a pulse starts in its tail
+            cfg.pulse.check_start(cfg.integration.t_start)
+        if entry.check is not None:
+            entry.check(cfg)
+    except ValueError as err:
+        raise ExperimentError("config", f"[integration] {err}") from err
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    clock = _StageClock()
+    run = _Run(out, cfg.output.emit_svg)
     try:
-        files = entry.runner(cfg, out, clock, cfg.output.emit_svg)
-    except ExperimentError:
-        raise
+        entry.runner(cfg, run)
     except Exception as err:
-        raise ExperimentError(clock.current, str(err)) from err
+        raise ExperimentError(run.current, str(err)) from err
 
     manifest = RunManifest(
         experiment=cfg.experiment,
         version=__version__,
         config_text=serialize_config(cfg),
-        stages=clock.records,
-        outputs=[{"path": Path(f).name, "sha256": sha256_file(Path(f))} for f in files],
+        stages=run.records,
+        outputs=[{"path": f.name, "sha256": sha256_file(f)} for f in run.files],
     )
     manifest_path = out / "manifest.json"
     manifest_path.write_text(manifest.to_json(), encoding="utf-8")

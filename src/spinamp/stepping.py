@@ -19,10 +19,23 @@ def rk4_step(y, t, dt, rhs):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def sample_steps(n_steps: int, every: int) -> np.ndarray:
-    """Step counts at which a trajectory is stored: 0, every, 2 every, ... and n_steps.
+def sample_grid(t_start: float, t_end: float, dt: float, every: int):
+    """The steps and times stored over [t_start, t_end]: (steps, t_start + steps * dt).
 
-    The last sample comes after the final step even when n_steps is not a
+    The span is round()ed to whole steps of dt. The steps are 0, every,
+    2 every, ... and the last one, which is stored even when it is not a
     multiple of every; the gap before it is then shorter than every.
     """
-    return np.append(np.arange(0, n_steps, every), n_steps)
+    n_steps = int(round((t_end - t_start) / dt))
+    if n_steps < 1:
+        raise ValueError("t_end must exceed t_start by at least one step")
+    steps = np.append(np.arange(0, n_steps, every), n_steps)
+    return steps, t_start + steps * dt
+
+
+def sample_index(times: np.ndarray, t: float) -> int:
+    """Index of the stored sample at time t; ValueError if none lies within rounding of t."""
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 + 1e-6 * max(1.0, abs(t)):
+        raise ValueError(f"no stored sample at t = {t}; nearest is {times[idx]}")
+    return idx

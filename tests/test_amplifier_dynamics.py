@@ -12,7 +12,7 @@ from spinamp.amplifier_dynamics import (
     q_function,
     quantum_gain,
 )
-from spinamp.absorber import AbsorberParams, integrate_hierarchy
+from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, coherent_amplitudes, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian
 from spinamp.stepping import IntegrationError
@@ -120,7 +120,8 @@ def test_last_partial_sample():
     sx2 = build_collective_operator(params.space, "Sx2")
     assert all(traj.sx2[k] == expectation(sx2, s) for k, s in enumerate(traj.states))
     # the absorber keeps the same rule at its own stride of 10 steps
-    trace = integrate_hierarchy(AbsorberParams(10.0, 20.0, 20.0, tau_f=1.0), -5.0, -3.995)  # 1005 steps
+    absorber = AbsorberParams(10.0, 20.0, 20.0)
+    trace = integrate_hierarchy(absorber, PulseEnvelope(1.0), -5.0, -3.995)  # 1005 steps
     assert np.array_equal(trace.times, -5.0 + 1e-3 * np.array([*range(0, 1001, 10), 1005]))
 
 
@@ -145,7 +146,7 @@ def test_q_function_pole_state():
 def test_q_function_peaks_at_coherent_parameters():
     space = DickeSpace(60)
     theta0, phi0 = 1.1, 2.3
-    state = coherent_amplitudes(space, theta0, phi0).amplitudes
+    state = coherent_amplitudes(space, theta0, phi0)
     grid = q_function(state, space)
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert abs(grid.theta[i] - theta0) < 2 * np.pi / 180
@@ -163,11 +164,11 @@ def test_q_function_rejects_unnormalized():
 
 def test_azimuthal_plane_masses():
     space = DickeSpace(80)
-    equator_x = coherent_amplitudes(space, np.pi / 2, 0.0).amplitudes
+    equator_x = coherent_amplitudes(space, np.pi / 2, 0.0)
     gx = q_function(equator_x, space)
     assert azimuthal_plane_mass(gx, "xz") > 0.95
     assert azimuthal_plane_mass(gx, "yz") < 0.05
-    equator_y = coherent_amplitudes(space, np.pi / 2, np.pi / 2).amplitudes
+    equator_y = coherent_amplitudes(space, np.pi / 2, np.pi / 2)
     gy = q_function(equator_y, space)
     assert azimuthal_plane_mass(gy, "yz") > 0.95
     with pytest.raises(ValueError):

@@ -125,15 +125,15 @@ def test_banded_matvec_matches_dense():
 
 def test_coherent_poles_are_exact():
     sp = DickeSpace(37)
-    north = coherent_amplitudes(sp, 0.0, 1.3).amplitudes
+    north = coherent_amplitudes(sp, 0.0, 1.3)
     assert north[-1] == 1.0 and np.abs(north[:-1]).max() == 0.0
-    south = coherent_amplitudes(sp, np.pi, 0.7).amplitudes
+    south = coherent_amplitudes(sp, np.pi, 0.7)
     assert abs(abs(south[0]) - 1.0) < 1e-15 and np.abs(south[1:]).max() == 0.0
 
 
 def test_coherent_large_n_norm():
     # C(400, 200) overflows double precision; log-space assembly must not
-    amps = coherent_amplitudes(DickeSpace(400), np.pi / 2.0, 0.0).amplitudes
+    amps = coherent_amplitudes(DickeSpace(400), np.pi / 2.0, 0.0)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
 
@@ -149,7 +149,7 @@ def test_coherent_rejects_theta_outside_range():
     phi=st.floats(min_value=0.0, max_value=2.0 * np.pi, exclude_max=True, allow_nan=False),
 )
 def test_coherent_norm_property(n, theta, phi):
-    amps = coherent_amplitudes(DickeSpace(n), theta, phi).amplitudes
+    amps = coherent_amplitudes(DickeSpace(n), theta, phi)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
@@ -157,6 +157,6 @@ def test_coherent_norm_property(n, theta, phi):
 @given(n=st.integers(min_value=1, max_value=60), theta=st.floats(min_value=0.05, max_value=np.pi - 0.05))
 def test_coherent_sz_expectation_property(n, theta):
     sp = DickeSpace(n)
-    amps = coherent_amplitudes(sp, theta, 0.3).amplitudes
+    amps = coherent_amplitudes(sp, theta, 0.3)
     sz = build_collective_operator(sp, "Sz")
     assert abs(expectation(sz, amps) - (n / 2.0) * np.cos(theta)) < 1e-9 * max(1.0, n)

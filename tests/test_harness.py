@@ -5,11 +5,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from spinamp.absorber import integrate_hierarchy
+from spinamp.absorber import AbsorberParams, integrate_hierarchy
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
 from spinamp.harness.config import (
-    AbsorberSection,
     ConfigError,
     OutputSection,
     SweepSection,
@@ -128,7 +127,7 @@ def test_run_rejects_unneeded_section(tmp_path):
     # figS2 takes its rates from a fixed grid, so an [absorber] section would be ignored
     figs2 = dataclasses.replace(
         default_config("figS2_transduction_map"),
-        absorber=AbsorberSection(delta_pp=10.0, gamma_fg=3.0, gamma_he=3.0, eta=0.3),
+        absorber=AbsorberParams(delta_pp=10.0, gamma_fg=3.0, gamma_he=3.0, eta=0.3),
         output=OutputSection(directory=str(tmp_path)),
     )
     with pytest.raises(ExperimentError, match=r"\[config\] .*does not take \[absorber\]$"):
@@ -173,6 +172,56 @@ def test_run_rejects_late_t_start_before_any_stage(tmp_path):
     with pytest.raises(ExperimentError, match=r"\[config\].*t_start = -4 .*t_arrival - 5 tau_f = -5"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
+
+
+def test_pulse_tail_rule_holds_without_the_amplifier(tmp_path):
+    # figS1 runs the absorber alone; it starts 5 tau_f ahead of the pulse too
+    cfg = _figs1_config(tmp_path)
+    cfg = dataclasses.replace(cfg, integration=dataclasses.replace(cfg.integration, t_start=-4.5))
+    with pytest.raises(ExperimentError, match=r"^\[config\] .*t_start = -4.5 .*\(pulse tail\)$"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("integration", [dict(sample_every=7), dict(t_end=17.0)])
+def test_fig3_snapshots_off_the_sample_grid_fail_before_any_stage(tmp_path, integration):
+    cfg = default_config("fig3_qfunction")
+    cfg = dataclasses.replace(
+        cfg,
+        model=dataclasses.replace(cfg.model, n_qubits=8),
+        integration=dataclasses.replace(cfg.integration, **integration),
+        output=OutputSection(directory=str(tmp_path / "out")),
+    )
+    with pytest.raises(ExperimentError, match=r"no stored sample at t = (3|18)\.0") as info:
+        run_experiment(cfg)
+    assert info.value.stage == "config"
+    assert not (tmp_path / "out").exists()
+
+
+# a physics value its type refuses, per experiment that takes the section
+BAD_PHYSICS = [
+    (name, section, key, raw)
+    for name in ("fig2_gain_vs_bias", "figS1_absorption", "figS2_transduction_map")
+    for section, key, raw in (
+        ("absorber", "eta", "1.5"),
+        ("absorber", "gamma_fg", "0"),
+        ("pulse", "tau_f", "0"),
+    )
+    if getattr(default_config(name), section) is not None  # figS2 takes no [absorber]
+]
+
+
+@pytest.mark.parametrize("name, section, key, raw", BAD_PHYSICS)
+def test_bad_physics_value_is_a_config_error(tmp_path, capsys, name, section, key, raw):
+    text = f"[run]\nexperiment = {name}\n[{section}]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key} must "):
+        apply_overrides(default_config(name), parse_config_text(text)[1])
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", name, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"[config] [{section}] {key} must ")
+    assert not out_dir.exists()
 
 
 def test_write_csv_formats_17_digits(tmp_path):
