@@ -19,12 +19,15 @@ In the rotating frame at the resonant carrier the Hamiltonian reduces to
 H = delta_pp (|f><h| + |h><f|) and the pulse envelope loses its carrier; the
 level splittings never enter the populations. Decay of |e> back to |g> is
 neglected (metastable destination).
+
+integrate_hierarchy is the one entry point, for one absorber and for a grid
+of them alike: a grid (figS2's (delta_pp, gamma) map) is an AbsorberParams
+whose fields are arrays, and every cell is the same three-number ODE.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +38,17 @@ SAMPLE_EVERY = 10  # RK4 steps per stored sample
 POPULATION_TOL = 1e-5  # P_e and p_g must stay in [-tol, 1 + tol]
 
 
+def _require(obj, name: str, ok, rule: str) -> None:
+    """ValueError naming the first element of obj.name that ok refuses; a NaN fails every rule."""
+    value = np.asarray(getattr(obj, name))
+    good = ok(value)
+    if not good.all():
+        raise ValueError(f"{name} {rule}, got {value.flat[np.argmin(good)].item()}")
+
+
 def _require_finite(obj) -> None:
     for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        _require(obj, f.name, np.isfinite, "must be finite")
 
 
 @dataclass(frozen=True)
@@ -55,8 +64,7 @@ class PulseEnvelope:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.tau_f <= 0.0:
-            raise ValueError(f"tau_f must be positive, got {self.tau_f}")
+        _require(self, "tau_f", lambda v: v > 0.0, "must be positive")
 
     def check_start(self, t_start: float) -> None:
         """A run starts in the pulse's vacuum tail: t_start <= t_arrival - 5 tau_f."""
@@ -79,7 +87,12 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class AbsorberParams:
-    """The atom: rates in units of the amplifier splitting, coupling c = sqrt(eta) e^{i phase}."""
+    """The atom: rates in units of the amplifier splitting, coupling c = sqrt(eta) e^{i phase}.
+
+    Each field may be an array; the fields broadcast into a grid of cells
+    that integrate_hierarchy steps as one batch. Every element is checked,
+    and the message names the first one refused.
+    """
 
     delta_pp: float
     gamma_fg: float
@@ -90,36 +103,49 @@ class AbsorberParams:
     def __post_init__(self):
         _require_finite(self)
         for name in ("gamma_fg", "gamma_he"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
+            _require(self, name, lambda v: v > 0.0, "must be positive")
+        _require(self, "eta", lambda v: (v > 0.0) & (v <= 1.0), "must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class TransductionTrace:
-    """P_e(t) samples; pe_steady is the max over the trace (the saturation value).
+    """P_e(t) samples of one absorber or of a grid of cells; pe_steady is each cell's max over time.
 
-    states[k] is the amplitude pair (psi_f, psi_h) at times[k]; with pe[k] it
-    fixes the whole hierarchy (see the module docstring).
+    With scalar rates, pe[k] is P_e at times[k], states[k] the amplitude pair
+    (psi_f, psi_h), and pe_steady a float, the saturation value; with them
+    the pair fixes the whole hierarchy (see the module docstring). Rates that
+    broadcast to the cell shape C give pe of shape (n_samples, *C), states
+    (n_samples, 2, *C) and pe_steady of shape C.
     """
 
     times: np.ndarray
     pe: np.ndarray
-    pe_steady: float
+    pe_steady: float | np.ndarray
     states: np.ndarray
 
 
-def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, dt):
-    """Step y = (psi_f, psi_h, P_e) from zero with fixed-step RK4; returns (times, samples).
+def integrate_hierarchy(
+    params: AbsorberParams,
+    pulse: PulseEnvelope,
+    t_start: float,
+    t_end: float,
+    dt: float,
+) -> TransductionTrace:
+    """Propagate the amplitudes and P_e under one pulse with fixed-step RK4.
 
-    The rates may be arrays: they broadcast into one batch of cells that share
-    the pulse, and samples has shape (n_samples, 3, *cells). Preconditions,
-    sampling and the guard are those of integrate_hierarchy; the guard names
-    the first failing cell by its rates.
+    y = (psi_f, psi_h, P_e) starts at zero. The rates of params may be
+    arrays: they broadcast into one batch of cells that share the pulse and
+    step together, each cell as it would step alone. The run must start in
+    the pulse's tail (PulseEnvelope.check_start) and the step must resolve
+    the envelope (dt <= tau_f / 100). Every SAMPLE_EVERY-th step and the
+    last one are stored (stepping.sample_grid). Raises IntegrationError,
+    naming the first failing cell's rates, t and dt, if P_e or
+    p_g = 1 - |psi|^2 - P_e leaves [-POPULATION_TOL, 1 + POPULATION_TOL].
+
+    The name predates the two-amplitude form. The trace is still the whole
+    single-photon Fock hierarchy, carried by the amplitudes it closes on, and
+    callers and the benchmark's tracer look the function up by this name.
     """
-    if dt is None:
-        dt = pulse.tau_f / 1000.0
     pulse.check_start(t_start)
     if dt > pulse.tau_f / 100.0:
         raise ValueError(f"dt = {dt} exceeds tau_f / 100 = {pulse.tau_f / 100.0}")
@@ -127,7 +153,9 @@ def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, d
     # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
     xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))
     half_steps = 2.0 / dt
+    delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he
     m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
+    coupling = np.sqrt(params.eta) * np.exp(1j * params.phase)
     source = -coupling * np.sqrt(gamma_fg)
 
     def deriv(t, y):
@@ -154,79 +182,5 @@ def _amplitudes(pulse, delta_pp, gamma_fg, gamma_he, coupling, t_start, t_end, d
                 f"populations P_e = {pe[cell]:.6g}, p_g = {pg[cell]:.6g} left [0, 1] at "
                 f"(delta_pp, gamma_fg, gamma_he) = {rates}, t = {times[k]:.4f} with dt = {dt}"
             )
-    return times, samples
-
-
-def integrate_hierarchy(
-    params: AbsorberParams,
-    pulse: PulseEnvelope,
-    t_start: float,
-    t_end: float,
-    dt: float | None = None,
-) -> TransductionTrace:
-    """Propagate one absorber's amplitudes and P_e under one pulse with fixed-step RK4.
-
-    The run must start in the pulse's tail (PulseEnvelope.check_start) and
-    the step must resolve the envelope (dt <= tau_f / 100; the default is
-    tau_f / 1000). Every SAMPLE_EVERY-th step and the last one are stored
-    (stepping.sample_grid). Raises IntegrationError, naming the rates, t
-    and dt, if P_e or p_g = 1 - |psi|^2 - P_e leaves
-    [-POPULATION_TOL, 1 + POPULATION_TOL].
-
-    The name predates the two-amplitude form. The trace is still the whole
-    single-photon Fock hierarchy, carried by the amplitudes it closes on, and
-    callers and the benchmark's tracer look the function up by this name.
-    """
-    coupling = np.sqrt(params.eta) * np.exp(1j * params.phase)
-    times, y = _amplitudes(
-        pulse, params.delta_pp, params.gamma_fg, params.gamma_he, coupling, t_start, t_end, dt
-    )
-    pe = y[:, 2].real.copy()
-    return TransductionTrace(times=times, pe=pe, pe_steady=float(pe.max()), states=y[:, :2])
-
-
-@dataclass(frozen=True)
-class TransductionMap:
-    """pe_steady over a (delta_pp, gamma) grid with gamma_fg = gamma_he."""
-
-    delta_pp_values: np.ndarray
-    gamma_values: np.ndarray
-    pe_steady: np.ndarray
-
-
-def optimize_transduction(
-    delta_pp_values,
-    gamma_values,
-    pulse: PulseEnvelope,
-    t_end: float | None = None,
-    dt: float | None = None,
-    t_start: float | None = None,
-) -> TransductionMap:
-    """Transduction probability map; both decay rates are set to gamma.
-
-    All cells are stepped together as one batch; t_start defaults to
-    t_arrival - 5 tau_f and t_end to t_arrival + 10 tau_f.
-    """
-    delta_pp_values = np.asarray(delta_pp_values, dtype=float)
-    gamma_values = np.asarray(gamma_values, dtype=float)
-    if delta_pp_values.size == 0 or gamma_values.size == 0:
-        raise ValueError("grid must be nonempty")
-    if t_start is None:
-        t_start = pulse.t_arrival - 5.0 * pulse.tau_f
-    if t_end is None:
-        t_end = pulse.t_arrival + 10.0 * pulse.tau_f
-    d, g = np.meshgrid(delta_pp_values, gamma_values, indexing="ij")
-    for dd, gg in zip(d.flat, g.flat):
-        try:
-            AbsorberParams(dd, gg, gg)
-        except ValueError as err:
-            raise RuntimeError(f"transduction map cell (delta_pp={dd}, gamma={gg}) failed: {err}") from err
-    try:
-        _, y = _amplitudes(pulse, d, g, g, 1.0, t_start, t_end, dt)
-    except IntegrationError as err:
-        raise RuntimeError(f"transduction map cell failed: {err}") from err
-    return TransductionMap(
-        delta_pp_values=delta_pp_values,
-        gamma_values=gamma_values,
-        pe_steady=y[:, 2].real.max(axis=0),
-    )
+    pe = samples[:, 2].real.copy()
+    return TransductionTrace(times=times, pe=pe, pe_steady=pe.max(axis=0), states=samples[:, :2])

@@ -20,6 +20,13 @@ from .stepping import IntegrationError, rk4_step, sample_grid, sample_index
 
 Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
 Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
+MAX_DT = 1e-3  # the largest RK4 step evolve takes
+
+
+def check_step(dt: float) -> None:
+    """ValueError unless dt is within the propagation bound MAX_DT."""
+    if not dt <= MAX_DT + 1e-15:
+        raise ValueError(f"dt = {dt} exceeds the {MAX_DT:g} propagation bound")
 
 
 @dataclass(frozen=True)
@@ -93,24 +100,23 @@ class GainTrace:
 def evolve(
     params: LmgParams,
     drive: DriveSchedule,
-    t_start: float = -5.0,
-    t_end: float = 20.0,
-    dt: float = 1e-3,
-    sample_every: int = 25,
+    t_start: float,
+    t_end: float,
+    dt: float,
+    sample_every: int,
 ) -> AmplifierTrajectory:
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
-    The bias field lives in the drive; params.bx must be zero. One
-    rk4_step per step of dt; a sample is stored on the grid of
-    stepping.sample_grid, written in place into arrays sized before the
-    first step. Norm drift accumulated across samples must stay below
+    The bias field lives in the drive; params.bx must be zero, and dt must
+    pass check_step. One rk4_step per step of dt; a sample is stored on the
+    grid of stepping.sample_grid, written in place into arrays sized before
+    the first step. Norm drift accumulated across samples must stay below
     1e-6 (states are renormalized at sample points), otherwise
     IntegrationError names the step.
     """
     if params.bx != 0.0:
         raise ValueError("params.bx must be 0; the drive carries the coupling field")
-    if dt > 1e-3 + 1e-15:
-        raise ValueError(f"dt = {dt} exceeds the 1e-3 propagation bound")
+    check_step(dt)
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
     steps, times = sample_grid(t_start, t_end, dt, sample_every)

@@ -21,6 +21,7 @@ a response function (it can be negative).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -121,16 +122,17 @@ def fit_power_law(points, window) -> ScalingFit:
     """Fit y = A x^p over the points whose x falls inside the window.
 
     Raises InsufficientDataError for fewer than three usable points and
-    ValueError (listing offenders) for nonpositive values in the window.
+    ValueError (listing offenders) for nonpositive or non-finite values in
+    the window.
     """
     lo, hi = window
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
     pts = [(float(x), float(y)) for x, y in points]
     inside = [(x, y) for x, y in pts if lo <= x <= hi]
-    bad = [(x, y) for x, y in inside if x <= 0.0 or y <= 0.0]
+    bad = [(x, y) for x, y in inside if not (0.0 < x < math.inf and 0.0 < y < math.inf)]  # NaN fails
     if bad:
-        raise ValueError(f"nonpositive values inside fit window: {bad}")
+        raise ValueError(f"nonpositive or non-finite values inside fit window: {bad}")
     if len(inside) < 3:
         raise InsufficientDataError(
             f"need >= 3 points inside window {window}, found {len(inside)}"

@@ -169,7 +169,7 @@ def expectation(op: BandedHermitianOperator, state: np.ndarray) -> float:
             f"state length {state.shape} does not match operator dimension {op.dimension}"
         )
     nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
     x = np.ascontiguousarray(state.real)
     val = float(x @ op.matvec(x))

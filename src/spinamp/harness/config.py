@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..absorber import AbsorberParams, PulseEnvelope
+from ..lmg_statics import LmgParams
+from ..stepping import step_count
 
 
 class ConfigError(ValueError):
@@ -33,6 +35,11 @@ class ModelSection:
     jx: float | None
     jy: float
     epsilon: float = 1.0
+
+    def __post_init__(self):
+        # LmgParams holds the rules; a field left None (the sweep sets it) takes a value they accept
+        given = {k: v for k, v in vars(self).items() if v is not None}
+        LmgParams(**{"n_qubits": 1, "jx": 0.0, **given})
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,8 @@ class SweepSection:
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
+        if self.spacing == "log" and not (self.lo > 0.0 and self.hi > 0.0):
+            raise ConfigError(f"log spacing needs lo and hi > 0, got lo = {self.lo}, hi = {self.hi}")
 
     def values(self) -> np.ndarray:
         if self.points == 1:
@@ -75,6 +84,7 @@ class IntegrationSection:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.sample_every is not None and self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
+        step_count(self.t_start, self.t_end, self.dt)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy, optimize_transduction
-from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain
+from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
+from ..amplifier_dynamics import DriveSchedule, check_step, evolve, q_function, quantum_gain
 from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
 from ..stepping import sample_grid, sample_index
@@ -212,8 +212,14 @@ def _run_fig2(cfg, run):
     run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)
 
 
+def _check_driven(cfg):
+    """The amplifier's step must be within its propagation bound."""
+    check_step(cfg.integration.dt)
+
+
 def _check_fig3(cfg):
-    """Each snapshot time must be a stored amplifier sample."""
+    """The driven check, and each snapshot time must be a stored amplifier sample."""
+    _check_driven(cfg)
     grid = cfg.integration
     _, times = sample_grid(grid.t_start, grid.t_end, grid.dt, grid.sample_every)
     for t_snap in FIG3_SNAPSHOTS:
@@ -303,26 +309,13 @@ def _run_figs1(cfg, run):
 
 def _run_figs2(cfg, run):
     grid = cfg.integration
+    # one cell per (delta_pp, gamma), both decay rates set to gamma
+    d, g = np.meshgrid(cfg.sweep.values(), np.linspace(5.0, 40.0, 8), indexing="ij")
     with run.stage("transduction-map"):
-        tmap = optimize_transduction(
-            cfg.sweep.values(),
-            np.linspace(5.0, 40.0, 8),
-            cfg.pulse,
-            t_end=grid.t_end,
-            dt=grid.dt,
-            t_start=grid.t_start,
-        )
-    rows = _grid_rows(tmap.delta_pp_values, tmap.gamma_values, tmap.pe_steady)
-    run.csv("transduction_map.csv", TMAP_CSV, rows)
-    run.heatmap(
-        "transduction_map.svg",
-        tmap.gamma_values,
-        tmap.delta_pp_values,
-        tmap.pe_steady,
-        "gamma",
-        "delta_pp",
-        "steady transduction probability",
-    )
+        trace = integrate_hierarchy(AbsorberParams(d, g, g), cfg.pulse, grid.t_start, grid.t_end, grid.dt)
+    run.csv("transduction_map.csv", TMAP_CSV, zip(d.ravel(), g.ravel(), trace.pe_steady.ravel()))
+    title = "steady transduction probability"
+    run.heatmap("transduction_map.svg", g[0], d[:, 0], trace.pe_steady, "gamma", "delta_pp", title)
 
 
 def _run_figs3(cfg, run):
@@ -399,6 +392,7 @@ REGISTRY = {
             "fig2_gain_vs_bias",
             "gain traces for a J_x bias grid at N=400, J_y=0.7, B_x=0.01",
             _run_fig2,
+            _check_driven,
             **_BIAS_PAIR,
             **_DRIVEN,
         ),
@@ -442,6 +436,7 @@ REGISTRY = {
             "figS3_gain_scaling",
             "maximum gain and amplification time vs qubit number",
             _run_figs3,
+            _check_driven,
             model=ModelSection(n_qubits=None, jx=0.675, jy=0.7),
             sweep=SweepSection(lo=100, hi=400, points=3, spacing="log"),
             **_DRIVEN,

@@ -19,16 +19,22 @@ def rk4_step(y, t, dt, rhs):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def sample_grid(t_start: float, t_end: float, dt: float, every: int):
-    """The steps and times stored over [t_start, t_end]: (steps, t_start + steps * dt).
-
-    The span is round()ed to whole steps of dt. The steps are 0, every,
-    2 every, ... and the last one, which is stored even when it is not a
-    multiple of every; the gap before it is then shorter than every.
-    """
+def step_count(t_start: float, t_end: float, dt: float) -> int:
+    """The span [t_start, t_end] round()ed to whole steps of dt; ValueError below one step."""
     n_steps = int(round((t_end - t_start) / dt))
     if n_steps < 1:
         raise ValueError("t_end must exceed t_start by at least one step")
+    return n_steps
+
+
+def sample_grid(t_start: float, t_end: float, dt: float, every: int):
+    """The steps and times stored over [t_start, t_end]: (steps, t_start + steps * dt).
+
+    The span is step_count's. The steps are 0, every, 2 every, ... and the
+    last one, which is stored even when it is not a multiple of every; the
+    gap before it is then shorter than every.
+    """
+    n_steps = step_count(t_start, t_end, dt)
     steps = np.append(np.arange(0, n_steps, every), n_steps)
     return steps, t_start + steps * dt
 

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import wofz
 
 from spinamp import absorber
-from spinamp.absorber import (
-    SAMPLE_EVERY,
-    AbsorberParams,
-    PulseEnvelope,
-    integrate_hierarchy,
-    optimize_transduction,
-)
+from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.stepping import IntegrationError, rk4_step
 
 RIDGE = dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
@@ -48,6 +44,36 @@ def _hierarchy_rk4(params, pulse, t_start, t_end, dt):
         if (i + 1) % SAMPLE_EVERY == 0 or i + 1 == n_steps:
             samples.append(rho)
     return np.array(samples)
+
+
+def _closed_form_psi(cell, pulse, t_start, t):
+    """psi(t) = int_{t_start}^t e^{M (t - s)} b xi(s) ds, b = -c sqrt(gamma_fg) e_f, in M's eigenbasis.
+
+    With u = s - t_arrival and sigma = tau_f, each eigenvalue lam contributes
+    I(t) = int e^{lam (t - s)} xi(s) ds, which is (2 pi sigma^2)^(-1/4) sigma sqrt(pi)
+    [e^{-u1^2 / 4 sigma^2} erfcx(z1) - e^{lam (t - t_start) - u0^2 / 4 sigma^2} erfcx(z0)]
+    with z = -(u + 2 sigma^2 lam) / (2 sigma) and erfcx(z) = wofz(i z).
+    """
+    d, gf, gh = cell["delta_pp"], cell["gamma_fg"], cell["gamma_he"]
+    lam, vec = np.linalg.eig(np.array([[-gf / 2, -1j * d], [-1j * d, -gh / 2]]))
+    c = np.sqrt(cell.get("eta", 1.0)) * np.exp(1j * cell.get("phase", 0.0))
+    coef = np.linalg.solve(vec, [-c * np.sqrt(gf), 0.0])
+    sigma = pulse.tau_f
+    u0, u1 = t_start - pulse.t_arrival, np.asarray(t, dtype=float)[..., None] - pulse.t_arrival
+    z0, z1 = -(u0 + 2 * sigma**2 * lam) / (2 * sigma), -(u1 + 2 * sigma**2 * lam) / (2 * sigma)
+    decay = np.exp(lam * (u1 - u0) - u0**2 / (4 * sigma**2))
+    integral = (2 * np.pi * sigma**2) ** -0.25 * sigma * np.sqrt(np.pi) * (
+        np.exp(-(u1**2) / (4 * sigma**2)) * wofz(1j * z1) - decay * wofz(1j * z0)
+    )
+    return (integral * coef) @ vec.T
+
+
+def _closed_form_pe(cell, pulse, t_start, times):
+    """P_e = gamma_he int |psi_h|^2 by adaptive quadrature between consecutive times."""
+    dens = lambda s: abs(_closed_form_psi(cell, pulse, t_start, s)[1]) ** 2  # noqa: E731
+    edges = np.concatenate([[t_start], times])
+    parts = [quad(dens, a, b, epsabs=1e-14, epsrel=1e-12)[0] for a, b in zip(edges[:-1], edges[1:])]
+    return cell["gamma_he"] * np.cumsum(parts)
 
 
 def reconstructed_blocks(trace):
@@ -90,8 +116,9 @@ def test_population_guard_trips_on_nan(monkeypatch):
     monkeypatch.setattr(absorber, "rk4_step", nan_in_last_cell)
     with pytest.raises(IntegrationError, match=r"P_e = nan, p_g = nan .* t = -4\.9000 with dt = 0\.01"):
         integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, -4.9, dt=1e-2)
-    with pytest.raises(RuntimeError, match=r"map cell .* = \(10\.0, 20\.0, 20\.0\)"):
-        optimize_transduction([0.0, 10.0], [5.0, 20.0], PULSE, t_end=-4.9, dt=1e-2)
+    d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0], indexing="ij")
+    with pytest.raises(IntegrationError, match=r"P_e = nan.* = \(10\.0, 20\.0, 20\.0\), t = -4\.9000"):
+        integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, -4.9, dt=1e-2)
 
 
 def test_pulse_norm_on_grid():
@@ -103,11 +130,11 @@ def test_pulse_norm_on_grid():
 def test_preconditions():
     params = AbsorberParams(**RIDGE)
     with pytest.raises(ValueError, match="tail"):
-        integrate_hierarchy(params, PULSE, -3.0, 5.0)
+        integrate_hierarchy(params, PULSE, -3.0, 5.0, dt=1e-3)
     with pytest.raises(ValueError, match="dt"):
         integrate_hierarchy(params, PULSE, -5.0, 5.0, dt=0.5)
     with pytest.raises(ValueError, match="t_end"):
-        integrate_hierarchy(params, PULSE, -5.0, -6.0)
+        integrate_hierarchy(params, PULSE, -5.0, -6.0, dt=1e-3)
 
 
 def test_severed_arm_gives_zero_transduction():
@@ -118,7 +145,7 @@ def test_severed_arm_gives_zero_transduction():
 
 def test_absorption_rises_and_saturates():
     params = AbsorberParams(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 12.0)
+    trace = integrate_hierarchy(params, PULSE, -5.0, 12.0, dt=1e-3)
     assert trace.pe_steady > 0.9
     # nondecreasing once the pulse has passed (no decay channel out of |e>)
     after = trace.times > PULSE.t_arrival + 4.0 * PULSE.tau_f
@@ -127,7 +154,7 @@ def test_absorption_rises_and_saturates():
 
 
 def test_trace_conservation_and_block_structure():
-    trace = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 6.0)
+    trace = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 6.0, dt=1e-3)
     assert trace.states.shape == (trace.times.size, 2)
     rho11, _ = reconstructed_blocks(trace)
     assert np.abs(np.trace(rho11, axis1=1, axis2=2).real - 1.0).max() < 1e-6
@@ -147,7 +174,7 @@ def test_amplitudes_match_fock_hierarchy(cell):
     # the atom starts in |g>, so the hierarchy closes on (psi, P_e): the two
     # RK4 discretizations agree to rounding at dt = tau_f / 1000
     params = AbsorberParams(**cell)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 4.0)
+    trace = integrate_hierarchy(params, PULSE, -5.0, 4.0, dt=1e-3)
     rho = _hierarchy_rk4(params, PULSE, -5.0, 4.0, 1e-3)
     assert np.abs(trace.pe - rho[:, 1, 1, _E, _E].real).max() < 5e-14
     rho11, rho10 = reconstructed_blocks(trace)
@@ -159,8 +186,8 @@ def test_amplitudes_match_fock_hierarchy(cell):
 def test_scattering_efficiency_scales_transduction():
     # rho_11 is second order in the photon amplitude: P_e scales with
     # |c|^2 = eta, and the phase of c cancels
-    full = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 4.0)
-    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6, phase=0.7), PULSE, -5.0, 4.0)
+    full = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 4.0, dt=1e-3)
+    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6, phase=0.7), PULSE, -5.0, 4.0, dt=1e-3)
     assert np.abs(lossy.pe - 0.6 * full.pe).max() < 1e-12
 
 
@@ -194,23 +221,66 @@ def test_determinism():
     assert np.array_equal(a.pe, b.pe)
 
 
-def test_optimize_transduction_grid():
-    tmap = optimize_transduction([0.0, 10.0], [5.0, 20.0, 80.0], PULSE, t_end=8.0, dt=5e-3)
-    assert tmap.pe_steady.shape == (2, 3)
-    assert np.abs(tmap.pe_steady[0]).max() < 1e-12  # severed-arm row
-    ridge_row = tmap.pe_steady[1]
-    assert np.argmax(ridge_row) == 1  # gamma = 2 delta_pp wins
-    for i, d in enumerate([0.0, 10.0]):  # the batch steps each cell as one trace does
-        for j, g in enumerate([5.0, 20.0, 80.0]):
-            cell = AbsorberParams(delta_pp=d, gamma_fg=g, gamma_he=g)
-            single = integrate_hierarchy(cell, PULSE, -5.0, 8.0, dt=5e-3).pe_steady
-            assert abs(tmap.pe_steady[i, j] - single) <= 1e-15
-    again = optimize_transduction([0.0, 10.0], [5.0, 20.0, 80.0], PULSE, t_end=8.0, dt=5e-3)
-    assert np.array_equal(tmap.pe_steady, again.pe_steady)
+def test_grid_steps_each_cell_as_one_trace():
+    d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0, 80.0], indexing="ij")
+    grid = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, 8.0, dt=5e-3)
+    n = grid.times.size
+    assert (grid.pe.shape, grid.states.shape, grid.pe_steady.shape) == ((n, 2, 3), (n, 2, 2, 3), (2, 3))
+    assert np.abs(grid.pe_steady[0]).max() < 1e-12  # severed-arm row
+    assert np.argmax(grid.pe_steady[1]) == 1  # gamma = 2 delta_pp wins
+    for i, j in np.ndindex(d.shape):
+        cell = AbsorberParams(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=g[i, j])
+        single = integrate_hierarchy(cell, PULSE, -5.0, 8.0, dt=5e-3)
+        assert isinstance(single.pe_steady, float)
+        assert abs(grid.pe_steady[i, j] - single.pe_steady) <= 1e-15
+        assert np.abs(grid.states[..., i, j] - single.states).max() <= 1e-15
+    again = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, 8.0, dt=5e-3)
+    assert np.array_equal(grid.pe_steady, again.pe_steady)
 
 
-def test_optimize_transduction_rejects_empty_grid():
-    with pytest.raises(ValueError):
-        optimize_transduction([], [1.0], PULSE)
-    with pytest.raises(ValueError, match="tail"):  # t_start passes the trace's precondition
-        optimize_transduction([1.0], [1.0], PULSE, t_start=-3.0)
+def test_params_check_every_cell():
+    nan = float("nan")
+    for kwargs, message in (
+        (dict(delta_pp=[1.0, nan], gamma_fg=1.0, gamma_he=1.0), "delta_pp must be finite, got nan"),
+        (dict(delta_pp=1.0, gamma_fg=[[1.0, -2.0], [0.0, 3.0]], gamma_he=1.0), "gamma_fg must be positive, got -2.0"),
+        (dict(delta_pp=1.0, gamma_fg=1.0, gamma_he=1.0, eta=[1.0, 0.5, 0.0]), r"eta must lie in \(0, 1\], got 0.0"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            AbsorberParams(**{k: np.asarray(v) for k, v in kwargs.items()})
+    with pytest.raises(ValueError, match=r"^tau_f must be positive, got -1.0$"):
+        PulseEnvelope(tau_f=np.array([1.0, -1.0]))
+
+
+# RK4's error against the closed form is ~1e-13 here at dt = 1e-3 (it falls as
+# dt^4); the bound leaves two decades for rounding in the reference
+CLOSED_FORM_TOL = 1e-11
+CLOSED_FORM_CELLS = [
+    dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
+    dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta=0.6, phase=0.7),
+]
+
+
+@pytest.mark.parametrize("cell", CLOSED_FORM_CELLS)
+def test_amplitudes_match_closed_form(cell):
+    pulse = PulseEnvelope(tau_f=1.0, t_arrival=0.5)
+    trace = integrate_hierarchy(AbsorberParams(**cell), pulse, -5.0, 4.0, dt=1e-3)
+    assert np.abs(trace.states - _closed_form_psi(cell, pulse, -5.0, trace.times)).max() < CLOSED_FORM_TOL
+    every = slice(None, None, 50)
+    pe = _closed_form_pe(cell, pulse, -5.0, trace.times[every])
+    assert pe[-1] > 0.5
+    assert np.abs(trace.pe[every] - pe).max() < CLOSED_FORM_TOL
+
+
+def test_grid_matches_closed_form():
+    # gamma_he = 1.5 gamma_fg keeps every cell off M's exceptional point
+    d, g = np.meshgrid([0.0, 7.0, 10.0], [5.0, 20.0], indexing="ij")
+    params = AbsorberParams(d, g, 1.5 * g, eta=0.6, phase=-1.1)
+    trace = integrate_hierarchy(params, PULSE, -5.0, 3.0, dt=1e-3)
+    every = slice(None, None, 50)
+    for i, j in np.ndindex(d.shape):
+        cell = dict(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=1.5 * g[i, j], eta=0.6, phase=-1.1)
+        psi = _closed_form_psi(cell, PULSE, -5.0, trace.times)
+        assert np.abs(trace.states[..., i, j] - psi).max() < CLOSED_FORM_TOL
+        pe = _closed_form_pe(cell, PULSE, -5.0, trace.times[every])
+        assert np.abs(trace.pe[every, i, j] - pe).max() < CLOSED_FORM_TOL
+        assert trace.pe_steady[i, j] == trace.pe[:, i, j].max()

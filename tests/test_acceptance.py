@@ -67,20 +67,20 @@ def transition_sweep():
 @pytest.fixture(scope="module")
 def absorber_drive():
     params = AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
-    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0), -5.0, 20.0)
+    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0), -5.0, 20.0, dt=1e-3)
     return DriveSchedule.from_trace(trace, bx=0.01)
 
 
 @pytest.fixture(scope="module")
 def critical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.675, jy=0.7)
-    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0)
+    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
 
 
 @pytest.fixture(scope="module")
 def noncritical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.5, jy=0.7)
-    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0)
+    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
 
 
 def test_c01_susceptibility_exponent(transition_sweep):
@@ -228,7 +228,7 @@ def test_c06_transduction_ridge():
     for gamma in (20.0, 80.0, 5.0):
         params = AbsorberParams(delta_pp=10.0, gamma_fg=gamma, gamma_he=gamma)
         pulse = PulseEnvelope(tau_f=1.0)
-        steady[gamma] = integrate_hierarchy(params, pulse, -5.0, 12.0).pe_steady
+        steady[gamma] = integrate_hierarchy(params, pulse, -5.0, 12.0, dt=1e-3).pe_steady
     ok = (
         steady[20.0] >= 0.95
         and steady[20.0] > steady[80.0]
@@ -283,7 +283,7 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
     _clock("C8")
     results = {400: quantum_gain(critical_trajectory)}
     for n in (100, 200):
-        traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7), absorber_drive, -5.0, 20.0)
+        traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7), absorber_drive, -5.0, 20.0, 1e-3, 25)
         results[n] = quantum_gain(traj)
     ns = np.array(sorted(results), dtype=float)
     gm = np.array([results[int(n)].g_max for n in ns])

@@ -52,22 +52,22 @@ def test_evolve_preconditions():
     params = LmgParams(n_qubits=20, **BIAS)
     drive = DriveSchedule.zero(-1.0, 1.0, bx=0.01)
     with pytest.raises(ValueError, match="bx"):
-        evolve(dataclasses.replace(params, bx=0.1), drive, -1.0, 1.0)
+        evolve(dataclasses.replace(params, bx=0.1), drive, -1.0, 1.0, 1e-3, 25)
     with pytest.raises(ValueError, match="dt"):
-        evolve(params, drive, -1.0, 1.0, dt=5e-3)
+        evolve(params, drive, -1.0, 1.0, dt=5e-3, sample_every=25)
     with pytest.raises(ValueError, match="t_start"):
-        evolve(params, drive, 0.0, 1.0)
+        evolve(params, drive, 0.0, 1.0, 1e-3, 25)
 
 
 def test_norm_drift_guard_trips_on_nan(monkeypatch):
     monkeypatch.setattr(amplifier_dynamics, "rk4_step", lambda psi, t, dt, deriv: np.full_like(psi, np.nan))
     with pytest.raises(IntegrationError, match="norm drift"):
-        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0, bx=0.01), -1.0, -0.9)
+        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0, bx=0.01), -1.0, -0.9, 1e-3, 25)
 
 
 def test_ground_state_is_stationary_without_drive():
     params = LmgParams(n_qubits=60, **BIAS)
-    traj = evolve(params, DriveSchedule.zero(-1.0, 2.0, bx=0.01), -1.0, 2.0)
+    traj = evolve(params, DriveSchedule.zero(-1.0, 2.0, bx=0.01), -1.0, 2.0, 1e-3, 25)
     assert np.abs(traj.sx2 - traj.sx2[0]).max() < 1e-8
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
@@ -76,7 +76,7 @@ def test_ground_state_is_stationary_without_drive():
 def test_energy_conserved_with_frozen_drive():
     params = LmgParams(n_qubits=100, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 4.0]), pe=np.array([1.0, 1.0]), bx=0.01)
-    traj = evolve(params, drive, -1.0, 4.0)
+    traj = evolve(params, drive, -1.0, 4.0, 1e-3, 25)
     h_field = assemble_hamiltonian(dataclasses.replace(params, bx=0.01))
     energies = np.array([expectation(h_field, s) for s in traj.states])
     assert np.abs(energies - energies[0]).max() / abs(energies[0]) < 1e-8
@@ -121,13 +121,13 @@ def test_last_partial_sample():
     assert all(traj.sx2[k] == expectation(sx2, s) for k, s in enumerate(traj.states))
     # the absorber keeps the same rule at its own stride of 10 steps
     absorber = AbsorberParams(10.0, 20.0, 20.0)
-    trace = integrate_hierarchy(absorber, PulseEnvelope(1.0), -5.0, -3.995)  # 1005 steps
+    trace = integrate_hierarchy(absorber, PulseEnvelope(1.0), -5.0, -3.995, 1e-3)  # 1005 steps
     assert np.array_equal(trace.times, -5.0 + 1e-3 * np.array([*range(0, 1001, 10), 1005]))
 
 
 def test_state_at_lookup():
     params = LmgParams(n_qubits=12, **BIAS)
-    traj = evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, sample_every=100)
+    traj = evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
     assert traj.state_at(0.1).shape == (13,)
     with pytest.raises(ValueError):
         traj.state_at(0.1234567)

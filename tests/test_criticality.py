@@ -52,6 +52,13 @@ def test_fit_power_law_errors():
         fit_power_law([(1.0, 1.0)], (2.0, 1.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_power_law_rejects_non_finite_y(bad):
+    # a NaN used to pass the positivity filter and fit a NaN exponent; inf warned in log
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_power_law([(1.0, 1.0), (2.0, bad), (3.0, 9.0), (4.0, 16.0)], (0.5, 5.0))
+
+
 def test_susceptibility_preconditions():
     params = LmgParams(n_qubits=10, jx=0.7, jy=0.7)
     with pytest.raises(ValueError):

@@ -114,6 +114,13 @@ def test_expectation_rejects_bad_states():
         expectation(op, np.ones(5, dtype=complex))
 
 
+def test_expectation_rejects_nan_state():
+    # |nan - 1| > 1e-8 is False, so the norm check used to let NaN through
+    op = build_collective_operator(DickeSpace(4), "Sz")
+    with pytest.raises(ValueError, match="not normalized"):
+        expectation(op, np.full(5, np.nan, dtype=complex))
+
+
 def test_banded_matvec_matches_dense():
     sp = DickeSpace(9)
     rng = np.random.default_rng(7)

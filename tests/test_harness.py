@@ -224,6 +224,44 @@ def test_bad_physics_value_is_a_config_error(tmp_path, capsys, name, section, ke
     assert not out_dir.exists()
 
 
+# values that each section's own rules refuse as the config is built,
+# rather than inside a stage after an empty output directory was made
+EARLY_REFUSALS = [
+    ("fig4_susceptibility", "model", "jx = -1", "couplings must be ferromagnetic"),
+    ("fig4_susceptibility", "model", "epsilon = 0", "epsilon must be > 0"),
+    ("fig2_gain_vs_bias", "model", "n_qubits = 0", "n_qubits must be >= 1"),
+    ("figS1_absorption", "integration", "t_end = -6", "t_end must exceed t_start by at least one step"),
+    ("figS8_eta", "sweep", "lo = -1e-6", "log spacing needs lo and hi > 0"),
+]
+
+
+@pytest.mark.parametrize("name, section, line, message", EARLY_REFUSALS)
+def test_bad_config_value_is_refused_before_any_stage(tmp_path, capsys, name, section, line, message):
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(f"[run]\nexperiment = {name}\n[{section}]\n{line}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run", name, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith(f"[config] [{section}] {message}")
+    assert not out_dir.exists()
+
+
+# figS1 and figS2 run the absorber alone, under its own tau_f / 100 bound:
+# SMALL_FIGS1 and TINY's figS2 step at 5e-3 and 1e-2
+@pytest.mark.parametrize("name", ["fig2_gain_vs_bias", "fig3_qfunction", "figS3_gain_scaling"])
+def test_amplifier_step_bound_is_checked_before_any_stage(tmp_path, name):
+    cfg = default_config(name)
+    cfg = dataclasses.replace(
+        cfg,
+        integration=dataclasses.replace(cfg.integration, dt=0.002),
+        output=OutputSection(directory=str(tmp_path / "out")),
+    )
+    bound = r"^\[config\] \[integration\] dt = 0.002 exceeds the 0.001 propagation bound$"
+    with pytest.raises(ExperimentError, match=bound) as info:
+        run_experiment(cfg)
+    assert info.value.stage == "config"
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_csv_formats_17_digits(tmp_path):
     path = write_csv(tmp_path / "x.csv", ("a", "b"), [(1.0 / 3.0, 7)])
     lines = path.read_text().splitlines()
