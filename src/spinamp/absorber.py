@@ -66,14 +66,17 @@ class PulseEnvelope:
         _require_finite(self)
         _require(self, "tau_f", lambda v: v > 0.0, "must be positive")
 
-    def check_start(self, t_start: float) -> None:
-        """A run starts in the pulse's vacuum tail: t_start <= t_arrival - 5 tau_f."""
+    def check_grid(self, t_start: float, dt: float) -> None:
+        """A run starts in the pulse's vacuum tail, t_start <= t_arrival - 5 tau_f,
+        and its step resolves the envelope, dt <= tau_f / 100."""
         latest = self.t_arrival - 5.0 * self.tau_f
         if t_start > latest:
             raise ValueError(
                 f"t_start = {t_start:.15g} is later than "
                 f"t_arrival - 5 tau_f = {latest:.15g} (pulse tail)"
             )
+        if dt > self.tau_f / 100.0:
+            raise ValueError(f"dt = {dt} exceeds tau_f / 100 = {self.tau_f / 100.0}")
 
     def amplitude(self, t):
         t = np.asarray(t, dtype=float)
@@ -136,8 +139,8 @@ def integrate_hierarchy(
     y = (psi_f, psi_h, P_e) starts at zero. The rates of params may be
     arrays: they broadcast into one batch of cells that share the pulse and
     step together, each cell as it would step alone. The run must start in
-    the pulse's tail (PulseEnvelope.check_start) and the step must resolve
-    the envelope (dt <= tau_f / 100). Every SAMPLE_EVERY-th step and the
+    the pulse's tail and the step must resolve the envelope
+    (PulseEnvelope.check_grid). Every SAMPLE_EVERY-th step and the
     last one are stored (stepping.sample_grid). Raises IntegrationError,
     naming the first failing cell's rates, t and dt, if P_e or
     p_g = 1 - |psi|^2 - P_e leaves [-POPULATION_TOL, 1 + POPULATION_TOL].
@@ -146,9 +149,7 @@ def integrate_hierarchy(
     single-photon Fock hierarchy, carried by the amplitudes it closes on, and
     callers and the benchmark's tracer look the function up by this name.
     """
-    pulse.check_start(t_start)
-    if dt > pulse.tau_f / 100.0:
-        raise ValueError(f"dt = {dt} exceeds tau_f / 100 = {pulse.tau_f / 100.0}")
+    pulse.check_grid(t_start, dt)
     steps, times = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
     # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
     xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))

@@ -1,7 +1,8 @@
 """Time-dependent amplification: the qubit ensemble driven by the absorber.
 
 After transduction the amplifier experiences an effective in-plane field
-P_e(t) * B_x, i.e. H(t) = H_Am + 2 P_e(t) B_x S_x. The evolution is strictly
+P_e(t) * B_x, i.e. H(t) = H_Am + 2 P_e(t) B_x S_x, with B_x the LmgParams
+field and P_e(t) the DriveSchedule. The evolution is strictly
 unitary (pure-state propagation; the amplifier dissipator is absent), run
 with fixed-step RK4 on the banded Hamiltonian. The ground energy is
 subtracted before propagation - a global phase - so the fast phase winding
@@ -10,6 +11,7 @@ of the low-lying manifold does not eat the RK4 error budget.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +33,11 @@ def check_step(dt: float) -> None:
 
 @dataclass(frozen=True)
 class DriveSchedule:
-    """P_e samples plus the coupling B_x; linear interpolation between
-    samples, constant extrapolation at the ends."""
+    """P_e samples; linear interpolation between samples, constant
+    extrapolation at the ends."""
 
     times: np.ndarray
     pe: np.ndarray
-    bx: float
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -50,18 +51,12 @@ class DriveSchedule:
             raise ValueError("pe and times must have matching shapes")
         if not np.all((pe >= -1e-8) & (pe <= 1.0 + 1e-8)):
             raise ValueError("pe samples must lie in [0, 1]")
-        if not np.isfinite(self.bx):
-            raise ValueError(f"bx must be finite, got {self.bx}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "pe", pe)
 
     @classmethod
-    def from_trace(cls, trace, bx: float) -> "DriveSchedule":
-        return cls(times=trace.times, pe=trace.pe, bx=bx)
-
-    @classmethod
-    def zero(cls, t_start: float, t_end: float, bx: float = 0.0) -> "DriveSchedule":
-        return cls(times=np.array([t_start, t_end]), pe=np.zeros(2), bx=bx)
+    def zero(cls, t_start: float, t_end: float) -> "DriveSchedule":
+        return cls(times=np.array([t_start, t_end]), pe=np.zeros(2))
 
     def pe_at(self, t):
         return np.interp(t, self.times, self.pe)
@@ -107,30 +102,29 @@ def evolve(
 ) -> AmplifierTrajectory:
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
-    The bias field lives in the drive; params.bx must be zero, and dt must
+    params is the whole amplifier: the run starts in the ground state of
+    params at bx = 0, and the drive scales params.bx by P_e(t). dt must
     pass check_step. One rk4_step per step of dt; a sample is stored on the
     grid of stepping.sample_grid, written in place into arrays sized before
     the first step. Norm drift accumulated across samples must stay below
     1e-6 (states are renormalized at sample points), otherwise
     IntegrationError names the step.
     """
-    if params.bx != 0.0:
-        raise ValueError("params.bx must be 0; the drive carries the coupling field")
     check_step(dt)
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
     steps, times = sample_grid(t_start, t_end, dt, sample_every)
 
     space = params.space
-    ground = solve_ground(params)
-    h = assemble_hamiltonian(params)
+    ground = solve_ground(dataclasses.replace(params, bx=0.0))
+    h = assemble_hamiltonian(params)  # its field band is unused: the drive scales B_x below
     n = h.dimension
     # ground-energy shift; pure global phase
     b0 = h.bands[0] - ground.e0
     b2 = h.bands[2][: n - 2]
     sx_band = space.ladder_coefficients() / 2.0  # first band of S_x
 
-    two_bx = 2.0 * drive.bx
+    two_bx = 2.0 * params.bx
 
     def deriv(t, psi):
         y = b0 * psi

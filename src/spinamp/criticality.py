@@ -154,12 +154,13 @@ def fit_power_law(points, window) -> ScalingFit:
     )
 
 
-def size_sweep(j: float, bx: float, n_values: Sequence[int], epsilon: float = 1.0) -> list[SizePoint]:
-    """Per-N statics on the transition line jx = jy = j.
+def size_sweep(params: LmgParams, bx: float, n_values: Sequence[int]) -> list[SizePoint]:
+    """Per-N statics of the model params, with n_qubits set to each N.
 
     chi uses the one-sided probe at the given bx; the gap is evaluated at
-    bx = 0, where it follows the 1/N law; c_xxyy is taken from the same
-    probe-field solve as chi.
+    bx = 0, where on the transition line jx = jy it follows the 1/N law;
+    c_xxyy is taken from the same probe-field solve as chi. params.bx is
+    not used, as in field_sweep.
     """
     if bx <= 0.0:
         raise ValueError(f"bx must be positive, got {bx}")
@@ -168,11 +169,10 @@ def size_sweep(j: float, bx: float, n_values: Sequence[int], epsilon: float = 1.
         n = int(n)
         if n < 2:
             raise ValueError(f"n_values must be >= 2, got {n}")
-        params = LmgParams(n_qubits=n, jx=j, jy=j, epsilon=epsilon)
         try:
-            probe = solve_ground(dataclasses.replace(params, bx=bx))
+            probe = solve_ground(dataclasses.replace(params, n_qubits=n, bx=bx))
             chi = _magnetization_x(probe) / bx
-            gap0 = solve_ground(params).gap
+            gap0 = solve_ground(dataclasses.replace(params, n_qubits=n, bx=0.0)).gap
             corr = correlations(probe)
         except Exception as err:
             raise RuntimeError(f"size sweep failed at N = {n}: {err}") from err

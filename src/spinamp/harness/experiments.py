@@ -152,24 +152,29 @@ ABSORPTION_CSV = ("t", "pe")
 def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
     grid = cfg.integration
     trace = integrate_hierarchy(cfg.absorber, cfg.pulse, grid.t_start, grid.t_end, dt=grid.dt)
-    return DriveSchedule.from_trace(trace, bx=cfg.coupling.bx)
+    return DriveSchedule(trace.times, trace.pe)
 
 
-def _lmg_params(cfg: ExperimentConfig, n_qubits: int, jx: float) -> LmgParams:
-    return LmgParams(n_qubits=n_qubits, jx=float(jx), jy=cfg.model.jy, epsilon=cfg.model.epsilon)
+def _models(cfg: ExperimentConfig, values=None) -> list[LmgParams]:
+    """The amplifier at each sweep point, from [model], [coupling] bx and [sweep].
+
+    Each value (the [sweep] values unless given) sets the one [model] field
+    the registry leaves None: jx in fig2 and fig3, the rounded n_qubits in
+    figS3 and figS8. With no field left None (fig4, fig5) there is one model.
+    """
+    fields = dict(vars(cfg.model), bx=cfg.coupling.bx if cfg.coupling else 0.0)
+    free = [key for key, value in fields.items() if value is None]
+    if not free:
+        return [LmgParams(**fields)]
+    cast = float if free == ["jx"] else round
+    values = cfg.sweep.values() if values is None else values
+    return [LmgParams(**{**fields, free[0]: cast(v)}) for v in values]
 
 
-def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, n_qubits: int, jx: float):
-    """Amplifier trajectory at (n_qubits, jx) over the configured time grid."""
+def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams):
+    """Amplifier trajectory of params over the configured time grid."""
     grid = cfg.integration
-    return evolve(
-        _lmg_params(cfg, n_qubits, jx),
-        drive,
-        t_start=grid.t_start,
-        t_end=grid.t_end,
-        dt=grid.dt,
-        sample_every=grid.sample_every,
-    )
+    return evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every)
 
 
 def _fit_row(name, fit):
@@ -193,6 +198,15 @@ def _grid_rows(x, y, values):
     return zip(np.repeat(x, y.size), np.tile(y, x.size), values.ravel())
 
 
+@contextlib.contextmanager
+def _refusing(section):
+    """A ValueError raised inside is a config error in [section], found before any stage."""
+    try:
+        yield
+    except ValueError as err:
+        raise ExperimentError("config", f"[{section}] {err}") from err
+
+
 # --------------------------------------------------------------------------
 # runners
 
@@ -201,37 +215,37 @@ def _run_fig2(cfg, run):
     with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
     curves = []
-    for jx in cfg.sweep.values():
-        with run.stage(f"dynamics-jx={jx:g}"):
-            traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
+    for params in _models(cfg):
+        with run.stage(f"dynamics-jx={params.jx:g}"):
+            traj = _amplify(cfg, drive, params)
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
-            run.csv(f"gain_jx{_tag(jx)}.csv", GAIN_CSV, rows)
-            curves.append((traj.times, gain.gain, f"jx={jx:g}", "line"))
+            run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
+            curves.append((traj.times, gain.gain, f"jx={params.jx:g}", "line"))
     run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)
 
 
-def _check_driven(cfg):
-    """The amplifier's step must be within its propagation bound."""
-    check_step(cfg.integration.dt)
-
-
-def _check_fig3(cfg):
-    """The driven check, and each snapshot time must be a stored amplifier sample."""
-    _check_driven(cfg)
+def _check_driven(cfg, snapshots=()):
+    """Every sweep point must make a model, the amplifier's step must be within
+    its bound, and each snapshot time must be a stored amplifier sample."""
+    with _refusing("sweep"):
+        _models(cfg)
     grid = cfg.integration
-    _, times = sample_grid(grid.t_start, grid.t_end, grid.dt, grid.sample_every)
-    for t_snap in FIG3_SNAPSHOTS:
-        sample_index(times, t_snap)
+    with _refusing("integration"):
+        check_step(grid.dt)
+        _, times = sample_grid(grid.t_start, grid.t_end, grid.dt, grid.sample_every)
+        for t_snap in snapshots:
+            sample_index(times, t_snap)
 
 
 def _run_fig3(cfg, run):
     with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
-    for jx in cfg.sweep.values():
+    for params in _models(cfg):
+        jx = params.jx
         with run.stage(f"dynamics-jx={jx:g}"):
-            traj = _amplify(cfg, drive, cfg.model.n_qubits, jx)
+            traj = _amplify(cfg, drive, params)
         with run.stage(f"qfunction-jx={jx:g}"):
             for t_snap in FIG3_SNAPSHOTS:
                 grid = q_function(traj.state_at(t_snap), traj.params.space)
@@ -242,7 +256,7 @@ def _run_fig3(cfg, run):
 
 
 def _run_fig4(cfg, run):
-    params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
+    (params,) = _models(cfg)
     with run.stage("field-sweep"):
         points = field_sweep(params, cfg.sweep.values())
     run.csv("susceptibility_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
@@ -250,7 +264,7 @@ def _run_fig4(cfg, run):
         chi_fit = fit_power_law([(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
         run.csv("fits.csv", FITS_CSV, [_fit_row("chi", chi_fit)])
     with run.stage("size-sweep"):
-        rows = size_sweep(cfg.model.jx, 1e-5, np.arange(200, 2001, 200), epsilon=cfg.model.epsilon)
+        rows = size_sweep(params, 1e-5, np.arange(200, 2001, 200))
         run.csv("chi_vs_n.csv", SIZE_CSV, rows)
     run.chart(
         "susceptibility.svg",
@@ -271,7 +285,7 @@ def _run_fig4(cfg, run):
 
 
 def _run_fig5(cfg, run):
-    params = _lmg_params(cfg, cfg.model.n_qubits, cfg.model.jx)
+    (params,) = _models(cfg)
     with run.stage("field-sweep"):
         points = field_sweep(params, cfg.sweep.values())
     run.csv("correlation_gap_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
@@ -322,12 +336,11 @@ def _run_figs3(cfg, run):
     with run.stage("absorber"):
         drive = _drive_from_absorber(cfg)
     rows = []
-    for n in cfg.sweep.values():
-        n = int(round(n))
-        with run.stage(f"dynamics-n={n}"):
+    for params in _models(cfg):
+        with run.stage(f"dynamics-n={params.n_qubits}"):
             # no name holds the trajectory, so its states are freed before the next N runs
-            gain = quantum_gain(_amplify(cfg, drive, n, cfg.model.jx), t_arrival=cfg.pulse.t_arrival)
-            rows.append((n, gain.g_max, gain.t_am))
+            gain = quantum_gain(_amplify(cfg, drive, params), t_arrival=cfg.pulse.t_arrival)
+            rows.append((params.n_qubits, gain.g_max, gain.t_am))
     run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)
     run.chart(
         "gain_scaling.svg",
@@ -340,9 +353,10 @@ def _run_figs3(cfg, run):
 
 def _run_figs8(cfg, run):
     curves = []
-    for n in (500, 1000, 2000):
+    for params in _models(cfg, (500, 1000, 2000)):
+        n = params.n_qubits
         with run.stage(f"field-sweep-n={n}"):
-            points = field_sweep(_lmg_params(cfg, n, cfg.model.jx), cfg.sweep.values())
+            points = field_sweep(params, cfg.sweep.values())
         run.csv(f"eta_n{n}.csv", SWEEP_CSV, map(dataclasses.astuple, points))
         curves.append(([p.bx for p in points], [p.eta for p in points], f"N={n}", "line"))
     run.chart("eta.svg", curves, "bx", "eta", "correlated fraction vs field", logx=True)
@@ -354,7 +368,7 @@ class Experiment:
     description: str
     defaults: ExperimentConfig  # sections and fields left None are not taken
     runner: object  # runner(cfg, run) computes and writes through the _Run
-    check: object = None  # check(cfg) raises ValueError on a config the runner cannot use
+    check: object = None  # check(cfg) refuses, as a "config" ExperimentError, a config the runner cannot use
 
 
 def _exp(name, description, runner, check=None, **sections):
@@ -400,7 +414,7 @@ REGISTRY = {
             "fig3_qfunction",
             "Q-function snapshots at t in {-5,3,10,18} for critical and non-critical bias",
             _run_fig3,
-            _check_fig3,
+            lambda cfg: _check_driven(cfg, FIG3_SNAPSHOTS),
             **_BIAS_PAIR,
             **_DRIVEN,
         ),
@@ -467,13 +481,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     extra = untaken(cfg, entry.defaults)
     if extra is not None:
         raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
-    try:
-        if cfg.pulse is not None:  # every run with a pulse starts in its tail
-            cfg.pulse.check_start(cfg.integration.t_start)
-        if entry.check is not None:
-            entry.check(cfg)
-    except ValueError as err:
-        raise ExperimentError("config", f"[integration] {err}") from err
+    if cfg.pulse is not None:  # every run with a pulse starts in its tail and resolves it
+        with _refusing("integration"):
+            cfg.pulse.check_grid(cfg.integration.t_start, cfg.integration.dt)
+    if entry.check is not None:
+        entry.check(cfg)
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
     run = _Run(out, cfg.output.emit_svg)

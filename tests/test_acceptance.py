@@ -68,18 +68,18 @@ def transition_sweep():
 def absorber_drive():
     params = AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
     trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0), -5.0, 20.0, dt=1e-3)
-    return DriveSchedule.from_trace(trace, bx=0.01)
+    return DriveSchedule(trace.times, trace.pe)
 
 
 @pytest.fixture(scope="module")
 def critical_trajectory(absorber_drive):
-    params = LmgParams(n_qubits=400, jx=0.675, jy=0.7)
+    params = LmgParams(n_qubits=400, jx=0.675, jy=0.7, bx=0.01)
     return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
 
 
 @pytest.fixture(scope="module")
 def noncritical_trajectory(absorber_drive):
-    params = LmgParams(n_qubits=400, jx=0.5, jy=0.7)
+    params = LmgParams(n_qubits=400, jx=0.5, jy=0.7, bx=0.01)
     return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
 
 
@@ -186,7 +186,7 @@ def test_c04_chi_scales_linearly_with_n():
     the per-qubit normalisation is the one the statics use throughout.
     """
     _clock("C4")
-    rows = size_sweep(0.7, 1e-5, np.arange(200, 2001, 200))
+    rows = size_sweep(LmgParams(n_qubits=200, jx=0.7, jy=0.7), 1e-5, np.arange(200, 2001, 200))
     ns = np.array([r.n for r in rows], dtype=float)
     chis = np.array([r.chi for r in rows])
     design = np.vstack([ns, np.ones_like(ns)]).T
@@ -283,7 +283,7 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
     _clock("C8")
     results = {400: quantum_gain(critical_trajectory)}
     for n in (100, 200):
-        traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7), absorber_drive, -5.0, 20.0, 1e-3, 25)
+        traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7, bx=0.01), absorber_drive, -5.0, 20.0, 1e-3, 25)
         results[n] = quantum_gain(traj)
     ns = np.array(sorted(results), dtype=float)
     gm = np.array([results[int(n)].g_max for n in ns])
@@ -355,8 +355,8 @@ def test_c11_property_suite(transition_sweep, critical_trajectory):
     checks["unitarity"] = np.abs(norms - 1.0).max() < 1e-6
 
     # step-halving convergence of both integrators
-    params = LmgParams(n_qubits=100, jx=0.675, jy=0.7)
-    ramp = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]), bx=0.01)
+    params = LmgParams(n_qubits=100, jx=0.675, jy=0.7, bx=0.01)
+    ramp = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
     a = evolve(params, ramp, -1.0, 2.0, dt=1e-3, sample_every=100)
     b = evolve(params, ramp, -1.0, 2.0, dt=5e-4, sample_every=200)
     checks["dynamics step-halving"] = abs(a.sx2[-1] - b.sx2[-1]) / a.sx2[-1] < 1e-6

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,37 +20,33 @@ BIAS = dict(jx=0.675, jy=0.7)
 
 def test_drive_schedule_validation():
     with pytest.raises(ValueError):
-        DriveSchedule(times=np.array([0.0, 0.0]), pe=np.zeros(2), bx=0.01)
+        DriveSchedule(times=np.array([0.0, 0.0]), pe=np.zeros(2))
     with pytest.raises(ValueError):
-        DriveSchedule(times=np.array([0.0, 1.0]), pe=np.array([0.0, 1.5]), bx=0.01)
+        DriveSchedule(times=np.array([0.0, 1.0]), pe=np.array([0.0, 1.5]))
     with pytest.raises(ValueError):
-        DriveSchedule(times=np.array([0.0, 1.0]), pe=np.zeros(3), bx=0.01)
+        DriveSchedule(times=np.array([0.0, 1.0]), pe=np.zeros(3))
     # non-finite input: every range check must trip on NaN
-    for times, pe, bx in [
-        ([0.0, 1.0], [np.nan, 0.5], 0.01),
-        ([0.0, 1.0], [0.0, np.inf], 0.01),
-        ([0.0, np.nan], [0.0, 0.5], 0.01),
-        ([0.0, np.inf], [0.0, 0.5], 0.01),
-        ([-np.inf, 0.0], [0.0, 0.5], 0.01),
-        ([0.0, 1.0], [0.0, 0.5], np.nan),
-        ([0.0, 1.0], [0.0, 0.5], np.inf),
+    for times, pe in [
+        ([0.0, 1.0], [np.nan, 0.5]),
+        ([0.0, 1.0], [0.0, np.inf]),
+        ([0.0, np.nan], [0.0, 0.5]),
+        ([0.0, np.inf], [0.0, 0.5]),
+        ([-np.inf, 0.0], [0.0, 0.5]),
     ]:
         with pytest.raises(ValueError):
-            DriveSchedule(times=np.array(times), pe=np.array(pe), bx=bx)
+            DriveSchedule(times=np.array(times), pe=np.array(pe))
 
 
 def test_drive_schedule_interpolation_and_extrapolation():
-    drive = DriveSchedule(times=np.array([0.0, 2.0]), pe=np.array([0.0, 1.0]), bx=0.5)
+    drive = DriveSchedule(times=np.array([0.0, 2.0]), pe=np.array([0.0, 1.0]))
     assert drive.pe_at(1.0) == pytest.approx(0.5)
     assert drive.pe_at(-10.0) == 0.0
     assert drive.pe_at(10.0) == 1.0
 
 
 def test_evolve_preconditions():
-    params = LmgParams(n_qubits=20, **BIAS)
-    drive = DriveSchedule.zero(-1.0, 1.0, bx=0.01)
-    with pytest.raises(ValueError, match="bx"):
-        evolve(dataclasses.replace(params, bx=0.1), drive, -1.0, 1.0, 1e-3, 25)
+    params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
+    drive = DriveSchedule.zero(-1.0, 1.0)
     with pytest.raises(ValueError, match="dt"):
         evolve(params, drive, -1.0, 1.0, dt=5e-3, sample_every=25)
     with pytest.raises(ValueError, match="t_start"):
@@ -62,29 +56,30 @@ def test_evolve_preconditions():
 def test_norm_drift_guard_trips_on_nan(monkeypatch):
     monkeypatch.setattr(amplifier_dynamics, "rk4_step", lambda psi, t, dt, deriv: np.full_like(psi, np.nan))
     with pytest.raises(IntegrationError, match="norm drift"):
-        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0, bx=0.01), -1.0, -0.9, 1e-3, 25)
+        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0), -1.0, -0.9, 1e-3, 25)
 
 
 def test_ground_state_is_stationary_without_drive():
-    params = LmgParams(n_qubits=60, **BIAS)
-    traj = evolve(params, DriveSchedule.zero(-1.0, 2.0, bx=0.01), -1.0, 2.0, 1e-3, 25)
+    # params.bx is scaled by P_e = 0, so the zero-field ground state stays put
+    params = LmgParams(n_qubits=60, bx=0.01, **BIAS)
+    traj = evolve(params, DriveSchedule.zero(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
     assert np.abs(traj.sx2 - traj.sx2[0]).max() < 1e-8
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
 def test_energy_conserved_with_frozen_drive():
-    params = LmgParams(n_qubits=100, **BIAS)
-    drive = DriveSchedule(times=np.array([-1.0, 4.0]), pe=np.array([1.0, 1.0]), bx=0.01)
+    params = LmgParams(n_qubits=100, bx=0.01, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 4.0]), pe=np.array([1.0, 1.0]))
     traj = evolve(params, drive, -1.0, 4.0, 1e-3, 25)
-    h_field = assemble_hamiltonian(dataclasses.replace(params, bx=0.01))
+    h_field = assemble_hamiltonian(params)
     energies = np.array([expectation(h_field, s) for s in traj.states])
     assert np.abs(energies - energies[0]).max() / abs(energies[0]) < 1e-8
 
 
 def test_step_halving_convergence():
-    params = LmgParams(n_qubits=100, **BIAS)
-    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]), bx=0.01)
+    params = LmgParams(n_qubits=100, bx=0.01, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
     a = evolve(params, drive, -1.0, 2.0, dt=1e-3, sample_every=100)
     b = evolve(params, drive, -1.0, 2.0, dt=5e-4, sample_every=200)
     assert abs(a.sx2[-1] - b.sx2[-1]) / a.sx2[-1] < 1e-6
@@ -111,8 +106,8 @@ def test_quantum_gain_definition():
 
 def test_last_partial_sample():
     """A span that is no whole number of sample strides ends on a shorter stride."""
-    params = LmgParams(n_qubits=20, **BIAS)
-    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]), bx=0.01)
+    params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
     traj = evolve(params, drive, -1.0, 0.01, dt=1e-3, sample_every=100)  # 1010 steps
     assert np.array_equal(traj.times, -1.0 + 1e-3 * np.array([*range(0, 1001, 100), 1010]))
     assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() < 1e-12

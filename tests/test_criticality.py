@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from spinamp.criticality import (
     size_sweep,
     susceptibility_at,
 )
-from spinamp.harness.oracle import brute_force_statics
+from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, collective_operators
 from spinamp.lmg_statics import LmgParams
 
 
@@ -64,17 +65,25 @@ def test_susceptibility_preconditions():
     with pytest.raises(ValueError):
         susceptibility_at(params, 0.0)
     with pytest.raises(ValueError, match="bx must be positive"):
-        size_sweep(0.7, -1e-4, [4])
+        size_sweep(params, -1e-4, [4])
 
 
 @pytest.mark.parametrize("n", [4, 8, 10])
 def test_susceptibility_matches_oracle_energy_curvature(n):
     # chi = -(1/2N) d^2 E_0/dB_x^2 (Hellmann-Feynman on the +2 B_x S_x term),
-    # with E_0 from the full 2^N Hamiltonian and the same relative step
+    # with E_0 from the full 2^N Hamiltonian and the same relative step; the
+    # zero-field oracle Hamiltonian is built once, and b * sum sigma^x = 2 b S_x
+    # is added from the oracle's own collective S_x
     params = LmgParams(n_qubits=n, jx=0.7, jy=0.7)
+    h0 = brute_force_hamiltonian(n, 0.7, 0.7, 0.0)
+    sx, _, _ = collective_operators(n)
+
+    def e0(b):
+        return scipy.linalg.eigh(h0 + 2.0 * b * sx, eigvals_only=True, subset_by_index=(0, 0))[0]
+
     for bx in (1e-3, 1e-2, 1e-1):
         h = 1e-2 * bx
-        e_up, e_mid, e_dn = (brute_force_statics(n, 0.7, 0.7, b).e0 for b in (bx + h, bx, bx - h))
+        e_up, e_mid, e_dn = (e0(b) for b in (bx + h, bx, bx - h))
         expected = -(e_up - 2.0 * e_mid + e_dn) / (2.0 * n * h * h)
         chi = susceptibility_at(params, bx)
         assert abs(chi - expected) <= 1e-3 * abs(expected), (n, bx, chi, expected)
@@ -154,7 +163,7 @@ def test_fit_window_stability():
 
 
 def test_size_sweep_smallest_system_against_oracle():
-    rows = size_sweep(0.7, 1e-5, [2])
+    rows = size_sweep(LmgParams(n_qubits=10, jx=0.7, jy=0.7), 1e-5, [2])
     point = rows[0]
     oracle0 = brute_force_statics(2, 0.7, 0.7, 0.0)
     oracle_b = brute_force_statics(2, 0.7, 0.7, 1e-5)
@@ -163,6 +172,17 @@ def test_size_sweep_smallest_system_against_oracle():
     assert abs(point.c_xxyy - oracle_b.c_xxyy) < 1e-8
 
 
+def test_size_sweep_follows_the_model_couplings():
+    # off the transition line and off unit epsilon; the model's own bx is not used
+    params = LmgParams(n_qubits=10, jx=0.5, jy=0.8, bx=0.3, epsilon=1.3)
+    (point,) = size_sweep(params, 1e-3, [6])
+    oracle0 = brute_force_statics(6, 0.5, 0.8, 0.0, 1.3)
+    oracle_b = brute_force_statics(6, 0.5, 0.8, 1e-3, 1.3)
+    assert point.n == 6
+    assert abs(point.gap - oracle0.gap) < 1e-10
+    assert abs(point.c_xxyy - oracle_b.c_xxyy) < 1e-8
+
+
 def test_size_sweep_rejects_tiny_n():
     with pytest.raises(ValueError):
-        size_sweep(0.7, 1e-5, [1])
+        size_sweep(LmgParams(n_qubits=10, jx=0.7, jy=0.7), 1e-5, [1])

@@ -232,6 +232,12 @@ EARLY_REFUSALS = [
     ("fig2_gain_vs_bias", "model", "n_qubits = 0", "n_qubits must be >= 1"),
     ("figS1_absorption", "integration", "t_end = -6", "t_end must exceed t_start by at least one step"),
     ("figS8_eta", "sweep", "lo = -1e-6", "log spacing needs lo and hi > 0"),
+    # a swept value makes each point's model, which LmgParams refuses
+    ("fig2_gain_vs_bias", "sweep", "lo = -0.5", "couplings must be ferromagnetic (jx, jy >= 0), got -0.5, 0.7"),
+    ("figS3_gain_scaling", "sweep", "lo = 0.2", "n_qubits must be >= 1, got 0"),
+    # the absorber's step must resolve the pulse
+    ("figS1_absorption", "integration", "dt = 0.02", "dt = 0.02 exceeds tau_f / 100 = 0.01"),
+    ("figS2_transduction_map", "integration", "dt = 0.02", "dt = 0.02 exceeds tau_f / 100 = 0.01"),
 ]
 
 
@@ -260,6 +266,17 @@ def test_amplifier_step_bound_is_checked_before_any_stage(tmp_path, name):
         run_experiment(cfg)
     assert info.value.stage == "config"
     assert not (tmp_path / "out").exists()
+
+
+def test_fig4_size_scan_follows_the_model(tmp_path):
+    digests = []
+    for extra in ("", "jy = 0.6\n"):
+        _, overrides = parse_config_text(f"[model]\nn_qubits = 100\n{extra}[sweep]\npoints = 9\n")
+        cfg = apply_overrides(default_config("fig4_susceptibility"), overrides)
+        out = tmp_path / f"run{len(digests)}"
+        run_experiment(dataclasses.replace(cfg, output=OutputSection(str(out))))
+        digests.append(sha256_file(out / "chi_vs_n.csv"))
+    assert digests[0] != digests[1]
 
 
 def test_write_csv_formats_17_digits(tmp_path):
