@@ -3,10 +3,12 @@
 After transduction the amplifier experiences an effective in-plane field
 P_e(t) * B_x, i.e. H(t) = H_Am + 2 P_e(t) B_x S_x, with B_x the LmgParams
 field and P_e(t) the DriveSchedule. The evolution is strictly
-unitary (pure-state propagation; the amplifier dissipator is absent), run
-with fixed-step RK4 on the banded Hamiltonian. The ground energy is
-subtracted before propagation - a global phase - so the fast phase winding
-of the low-lying manifold does not eat the RK4 error budget.
+unitary (pure-state propagation; the amplifier dissipator is absent) on the
+banded Hamiltonian: fixed-step RK4 while the drive moves, and once P_e(t)
+has taken its final value, one Chebyshev series for exp(-i H tau) per
+stored stride of the then constant H. The ground energy is subtracted before
+propagation - a global phase - so the fast phase winding of the low-lying
+manifold eats neither the RK4 error budget nor Chebyshev terms.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jv
 
 from .dicke import DickeSpace, build_collective_operator, coherent_log_magnitudes, expectation
 from .lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
@@ -22,7 +25,8 @@ from .stepping import IntegrationError, rk4_step, sample_grid, sample_index
 
 Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
 Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
-MAX_DT = 1e-3  # the largest RK4 step evolve takes
+MAX_DT = 1e-3  # the largest RK4 step evolve takes while the drive moves
+SERIES_CUT = 1e-17  # the Chebyshev series stops at the first |J_k| below this past k = x
 
 
 def check_step(dt: float) -> None:
@@ -92,6 +96,74 @@ class GainTrace:
     t_am: float
 
 
+def flat_drive_start(drive: DriveSchedule) -> float:
+    """t_flat: the first drive sample after the last P_e value that differs
+    from P_e[-1]. From t_flat on, pe_at is P_e[-1] to the last bit."""
+    moving = np.flatnonzero(drive.pe != drive.pe[-1])
+    return float(drive.times[moving[-1] + 1] if moving.size else drive.times[0])
+
+
+def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, dt: float):
+    """step(psi, n_steps) = exp(-i H n_steps dt) psi for the real symmetric
+    pentadiagonal H with bands (diag, off1, off2), by a Chebyshev series with
+    Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)).
+
+    H is mapped onto [-1, 1] through its Gershgorin interval, as in
+    BandedHermitianOperator.norm_upper_bound, so every T_k(H~) psi stays
+    bounded by |psi|. With x = half-width * tau,
+    exp(-i H tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
+    cut at SERIES_CUT; the coefficients are kept per distinct n_steps. The
+    scratch is a few vectors of length n.
+    """
+    n = diag.size
+    radius = np.zeros(n)
+    for k, band in ((1, np.abs(off1)), (2, np.abs(off2))):
+        radius[: n - k] += band
+        radius[k:] += band
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    # twice H~ = (H - mid) / half, complex so no product casts its operands
+    d2 = (2.0 / half * (diag - mid)).astype(complex)
+    u2 = (2.0 / half * off1).astype(complex)
+    v2 = (2.0 / half * off2).astype(complex)
+
+    def twice_scaled(psi, prev):
+        """2 H~ psi - prev."""
+        out = d2 * psi
+        out -= prev
+        out[: n - 1] += u2 * psi[1:]
+        out[1:] += u2 * psi[: n - 1]
+        out[: n - 2] += v2 * psi[2:]
+        out[2:] += v2 * psi[: n - 2]
+        return out
+
+    coefficients = {}
+
+    def series(n_steps):
+        tau = n_steps * dt
+        x = half * tau
+        k = np.arange(2 * int(x) + 64)  # past k = 2x, |J_k(x)| < exp(-0.45 k): the cut lies inside
+        bessel = jv(k, x)
+        cut = int(np.flatnonzero((k > max(x, 1.0)) & (np.abs(bessel) < SERIES_CUT))[0])
+        c = 2.0 * np.array([1.0, -1j, -1.0, 1j])[k[:cut] % 4] * bessel[:cut]
+        c[0] /= 2.0
+        return np.exp(-1j * mid * tau) * c
+
+    def step(psi, n_steps):
+        if n_steps not in coefficients:
+            coefficients[n_steps] = series(n_steps)
+        c = coefficients[n_steps]
+        prev, cur = psi, 0.5 * twice_scaled(psi, np.zeros_like(psi))
+        out = c[0] * prev + c[1] * cur
+        for ck in c[2:]:
+            prev, cur = cur, twice_scaled(cur, prev)
+            out += ck * cur
+        return out
+
+    return step
+
+
 def evolve(
     params: LmgParams,
     drive: DriveSchedule,
@@ -104,16 +176,22 @@ def evolve(
 
     params is the whole amplifier: the run starts in the ground state of
     params at bx = 0, and the drive scales params.bx by P_e(t). dt must
-    pass check_step. One rk4_step per step of dt; a sample is stored on the
-    grid of stepping.sample_grid, written in place into arrays sized before
-    the first step. Norm drift accumulated across samples must stay below
-    1e-6 (states are renormalized at sample points), otherwise
-    IntegrationError names the step.
+    pass check_step. A sample is stored on the grid of stepping.sample_grid,
+    written in place into arrays sized before the first step.
+
+    Up to k_flat, the first stored sample at or after flat_drive_start(drive),
+    evolve takes one rk4_step per step of dt, each with four pe_at calls.
+    After k_flat the Hamiltonian is constant, and each stride between stored
+    samples is one exp(-i H tau) from _chebyshev_propagator; the drive is not
+    looked up again. On both stretches norm drift accumulated across samples
+    must stay below 1e-6 (states are renormalized at sample points),
+    otherwise IntegrationError names the time.
     """
     check_step(dt)
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
     steps, times = sample_grid(t_start, t_end, dt, sample_every)
+    k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
 
     space = params.space
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
@@ -123,17 +201,21 @@ def evolve(
     b0 = h.bands[0] - ground.e0
     b2 = h.bands[2][: n - 2]
     sx_band = space.ladder_coefficients() / 2.0  # first band of S_x
-
     two_bx = 2.0 * params.bx
+    # -i H folded into the bands: multiplying by -1j only swaps and negates
+    # parts, so each product is the one of -1j * (H psi) to the last bit
+    mb0, mb2, msx = -1j * b0, -1j * b2, -1j * sx_band
 
     def deriv(t, psi):
-        y = b0 * psi
-        u = (two_bx * drive.pe_at(t)) * sx_band
+        y = mb0 * psi
+        u = (two_bx * drive.pe_at(t)) * msx
         y[: n - 1] += u * psi[1:]
         y[1:] += u * psi[: n - 1]
-        y[: n - 2] += b2 * psi[2:]
-        y[2:] += b2 * psi[: n - 2]
-        return -1j * y
+        y[: n - 2] += mb2 * psi[2:]
+        y[2:] += mb2 * psi[: n - 2]
+        return y
+
+    flat_step = _chebyshev_propagator(b0, (two_bx * drive.pe[-1]) * sx_band, b2, dt)
 
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
@@ -147,8 +229,11 @@ def evolve(
     sy2_vals[0] = expectation(sy2, psi)
     drift = 0.0
     for k in range(1, steps.size):
-        for i in range(steps[k - 1], steps[k]):
-            psi = rk4_step(psi, t_start + i * dt, dt, deriv)
+        if k <= k_flat:
+            for i in range(steps[k - 1], steps[k]):
+                psi = rk4_step(psi, t_start + i * dt, dt, deriv)
+        else:
+            psi = flat_step(psi, int(steps[k] - steps[k - 1]))
         nrm = np.linalg.norm(psi)
         drift += abs(nrm - 1.0)
         if not drift <= 1e-6:

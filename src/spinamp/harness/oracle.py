@@ -1,9 +1,9 @@
 """Full-Hilbert-space oracle: independent check of the collective-sector path.
 
-The Hamiltonian is rebuilt directly from explicit Pauli tensor products on
-all 2^N states (no pair-sum identity, no Dicke basis) and dense-diagonalized.
-Observables are then computed from the collective operators sum_j s_j^a / 2
-acting on the full space.
+The Hamiltonian is rebuilt directly from its Pauli terms on all 2^N states
+(no pair-sum identity, no Dicke basis) and dense-diagonalized. Observables
+are then computed from the collective operators sum_j s_j^a / 2 acting on
+the full space.
 """
 
 from __future__ import annotations
@@ -34,28 +34,36 @@ def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
 
 
-def _pair_operator(op: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """Tensor product with ``op`` at both sites i < j, identity elsewhere."""
-    inner = np.kron(op, np.kron(np.eye(2 ** (j - i - 1)), op))
-    return np.kron(np.eye(2**i), np.kron(inner, np.eye(2 ** (n - 1 - j))))
-
-
 def brute_force_hamiltonian(n_qubits: int, jx: float, jy: float, bx: float, epsilon: float = 1.0) -> np.ndarray:
-    """H = (eps/2) sum s_z - (1/N) sum_{i<j} (J_x s^x s^x + J_y s^y s^y) + B_x sum s^x."""
+    """H = (eps/2) sum s_z - (1/N) sum_{i<j} (J_x s^x s^x + J_y s^y s^y) + B_x sum s^x.
+
+    Each Pauli term is a signed permutation of the basis states, added in
+    O(2^N) rather than as a dense Kronecker product. Site j is the bit
+    2^(N-1-j) of the state index, set for spin down, as in the Kronecker
+    order of collective_operators: s^z_j is the sign +1 / -1 of the bit
+    clear / set, s^x_j flips the bit, and s^x_i s^x_j flips both bits.
+    s^y_i s^y_j = -(i s^y)_i (i s^y)_j flips both bits too, with sign -1
+    where the two bits are equal and +1 where they differ. The terms are
+    added in the order of the Kronecker sum, so the matrix is the same to
+    the last bit.
+    """
     if n_qubits > MAX_ORACLE_QUBITS:
         raise ValueError(f"oracle capped at N = {MAX_ORACLE_QUBITS} (got {n_qubits})")
     n = n_qubits
-    dim = 2**n
-    h = np.zeros((dim, dim))
-    for j in range(n):
-        h += (epsilon / 2.0) * _site_operator(_SZ, j, n)
-        if bx != 0.0:
-            h += bx * _site_operator(_SX, j, n)
+    states = np.arange(2**n)
+    bits = [1 << (n - 1 - j) for j in range(n)]
+    h = np.zeros((states.size, states.size))
+    diagonal = np.zeros(states.size)
+    for bit in bits:
+        diagonal += (epsilon / 2.0) * np.where(states & bit, -1.0, 1.0)
+        h[states ^ bit, states] += bx
+    h[states, states] = diagonal
     for i in range(n):
         for j in range(i + 1, n):
-            h -= (jx / n) * _pair_operator(_SX, i, j, n)
-            # s^y s^y = -(i s^y)(i s^y), keeping the arithmetic real
-            h -= (jy / n) * (-1.0) * _pair_operator(_ISY, i, j, n)
+            flipped = states ^ (bits[i] | bits[j])
+            differ = ((states & bits[i]) == 0) != ((states & bits[j]) == 0)
+            h[flipped, states] -= jx / n
+            h[flipped, states] -= (jy / n) * np.where(differ, 1.0, -1.0)
     return h
 
 

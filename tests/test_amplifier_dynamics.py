@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import jv
 
 from spinamp import amplifier_dynamics
 from spinamp.amplifier_dynamics import (
@@ -7,12 +11,13 @@ from spinamp.amplifier_dynamics import (
     DriveSchedule,
     azimuthal_plane_mass,
     evolve,
+    flat_drive_start,
     q_function,
     quantum_gain,
 )
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, coherent_amplitudes, expectation
-from spinamp.lmg_statics import LmgParams, assemble_hamiltonian
+from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
 from spinamp.stepping import IntegrationError
 
 BIAS = dict(jx=0.675, jy=0.7)
@@ -54,9 +59,107 @@ def test_evolve_preconditions():
 
 
 def test_norm_drift_guard_trips_on_nan(monkeypatch):
+    # the drive moves until t = 0, past the window, so every step is an rk4_step
+    drive = DriveSchedule(times=np.array([-1.0, 0.0]), pe=np.array([0.0, 0.5]))
     monkeypatch.setattr(amplifier_dynamics, "rk4_step", lambda psi, t, dt, deriv: np.full_like(psi, np.nan))
     with pytest.raises(IntegrationError, match="norm drift"):
+        evolve(LmgParams(n_qubits=20, **BIAS), drive, -1.0, -0.9, 1e-3, 25)
+
+
+def test_norm_drift_guard_trips_on_nan_in_flat_stretch(monkeypatch):
+    # a zero drive is flat from its first sample, so only the Chebyshev series runs;
+    # a NaN leading coefficient makes its first stride NaN
+    monkeypatch.setattr(amplifier_dynamics, "jv", lambda k, x: np.where(k == 0, np.nan, jv(k, x)))
+    with pytest.raises(IntegrationError, match="norm drift .* at t = -0.9750"):
         evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0), -1.0, -0.9, 1e-3, 25)
+
+
+def test_flat_drive_start():
+    times = np.array([-1.0, 0.0, 0.5, 2.0])
+    assert flat_drive_start(DriveSchedule(times, np.array([0.0, 0.3, 0.3, 0.3]))) == 0.0
+    assert flat_drive_start(DriveSchedule(times, np.array([0.3, 0.3, 0.2, 0.3]))) == 2.0
+    assert flat_drive_start(DriveSchedule(times, np.full(4, 0.3))) == -1.0
+
+
+def test_rk4_runs_only_while_the_drive_moves(monkeypatch):
+    """One rk4_step per dt and four pe_at calls per step up to the first
+    stored sample at or after t_flat; neither after it."""
+    rk4_times, pe_times = [], []
+    rk4 = amplifier_dynamics.rk4_step
+    pe_at = DriveSchedule.pe_at
+
+    def counting_rk4(psi, t, dt, deriv):
+        rk4_times.append(t)
+        return rk4(psi, t, dt, deriv)
+
+    def counting_pe_at(self, t):
+        pe_times.append(t)
+        return pe_at(self, t)
+
+    monkeypatch.setattr(amplifier_dynamics, "rk4_step", counting_rk4)
+    monkeypatch.setattr(DriveSchedule, "pe_at", counting_pe_at)
+    params = LmgParams(n_qubits=30, bx=0.01, **BIAS)
+    # flat from t = 0.01, between the stored samples at 0.0 and 0.025
+    drive = DriveSchedule(times=np.array([-1.0, 0.01, 2.0]), pe=np.array([0.0, 0.5, 0.5]))
+    traj = evolve(params, drive, -1.0, 1.0, 1e-3, 25)
+    assert len(rk4_times) == 1025
+    assert np.allclose(rk4_times, -1.0 + 1e-3 * np.arange(1025), rtol=0.0, atol=1e-12)
+    assert len(pe_times) == 4 * len(rk4_times)
+    assert max(pe_times) < traj.times[41] + 1e-12  # the last step's t + dt
+    # a drive flat from its first sample never reaches rk4_step
+    rk4_times.clear()
+    pe_times.clear()
+    evolve(params, DriveSchedule.zero(-1.0, 1.0), -1.0, 1.0, 1e-3, 25)
+    assert rk4_times == [] and pe_times == []
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 7, 12])
+def test_flat_stretch_matches_dense_expm(n_qubits):
+    """Under a constant drive every stride is one Chebyshev series; each
+    stored state is exp(-i (H - E0) (t - t_start)) psi0 from a dense expm
+    of the same H, within 1e-12. The span ends on a shorter stride, and the
+    strides of 400 steps need a longer series than the registry's 25."""
+    params = LmgParams(n_qubits=n_qubits, bx=0.3, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 3.0]), pe=np.array([0.6, 0.6]))
+    traj = evolve(params, drive, -1.0, 2.13, 1e-3, 400)  # 3130 steps: 7 strides of 400, one of 330
+    ground = solve_ground(dataclasses.replace(params, bx=0.0))
+    h = assemble_hamiltonian(dataclasses.replace(params, bx=0.6 * params.bx)).densify()
+    h -= ground.e0 * np.eye(h.shape[0])
+    psi0 = ground.ground.astype(complex)
+    for t, state in zip(traj.times, traj.states):
+        exact = scipy.linalg.expm(-1j * h * (t + 1.0)) @ psi0
+        assert np.abs(state - exact).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def registry_drive():
+    trace = integrate_hierarchy(AbsorberParams(10.0, 20.0, 20.0), PulseEnvelope(1.0), -5.0, 20.0, 1e-3)
+    return DriveSchedule(trace.times, trace.pe)
+
+
+@pytest.mark.parametrize("n_qubits", [100, 400])
+def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
+    """The registry drive is flat from t = 7.8 on. Against RK4 over the
+    whole window, the reference, sx2 and sy2 agree within 1e-10 relative
+    and g_max within 1e-12 relative; up to t_flat they are the same RK4
+    steps, bit for bit."""
+    t_flat = flat_drive_start(registry_drive)
+    assert -5.0 < t_flat < 20.0
+    # one more sample past t_end that differs from the last one moves t_flat
+    # beyond the window without changing pe_at inside it
+    moving = DriveSchedule(
+        np.append(registry_drive.times, 21.0), np.append(registry_drive.pe, registry_drive.pe[-1] / 2.0)
+    )
+    assert flat_drive_start(moving) == 21.0
+    params = LmgParams(n_qubits=n_qubits, jx=0.675, jy=0.7, bx=0.01)
+    traj = evolve(params, registry_drive, -5.0, 20.0, 1e-3, 25)
+    ref = evolve(params, moving, -5.0, 20.0, 1e-3, 25)
+    k_flat = int(np.searchsorted(traj.times, t_flat))
+    assert np.array_equal(traj.states[: k_flat + 1], ref.states[: k_flat + 1])
+    assert np.abs(traj.sx2 - ref.sx2).max() / ref.sx2.min() < 1e-10
+    assert np.abs(traj.sy2 - ref.sy2).max() / ref.sy2.min() < 1e-10
+    g, g_ref = quantum_gain(traj).g_max, quantum_gain(ref).g_max
+    assert abs(g - g_ref) / g_ref < 1e-12
 
 
 def test_ground_state_is_stationary_without_drive():

@@ -73,6 +73,40 @@ def test_ground_level_on_line_n1000():
     assert m[np.argmax(np.abs(res.ground))] == -357.0
 
 
+def _kron_site(op, site, n):
+    return np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
+
+
+def _kron_pair(op, i, j, n):
+    inner = np.kron(op, np.kron(np.eye(2 ** (j - i - 1)), op))
+    return np.kron(np.eye(2**i), np.kron(inner, np.eye(2 ** (n - 1 - j))))
+
+
+def kron_hamiltonian(n, jx, jy, bx, epsilon=1.0):
+    """The 2^N Hamiltonian as a sum of dense Kronecker products: the reference
+    for the oracle's bit-flip build."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    h = np.zeros((2**n, 2**n))
+    for j in range(n):
+        h += (epsilon / 2.0) * _kron_site(sz, j, n)
+        if bx != 0.0:
+            h += bx * _kron_site(sx, j, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            h -= (jx / n) * _kron_pair(sx, i, j, n)
+            h -= (jy / n) * (-1.0) * _kron_pair(isy, i, j, n)  # s^y s^y = -(i s^y)(i s^y)
+    return h
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_hamiltonian_equals_kronecker_sum(n):
+    for jx, jy, bx, epsilon in [(0.675, 0.7, 0.013, 1.0), (0.5, 0.8, 0.0, 1.3), (0.7, 0.7, -0.3, 0.9)]:
+        full = brute_force_hamiltonian(n, jx, jy, bx, epsilon)
+        assert np.array_equal(full, kron_hamiltonian(n, jx, jy, bx, epsilon))
+
+
 @pytest.mark.parametrize("n", [4, 8, 11])
 def test_hamiltonian_matches_full_space_sector(n):
     params = LmgParams(n_qubits=n, bx=0.013, **TEST_POINT)
