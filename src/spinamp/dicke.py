@@ -114,7 +114,7 @@ class BandedHermitianOperator:
         return float(row.max())
 
     def scipy_upper_bands(self) -> np.ndarray:
-        """LAPACK ``ab`` upper-form storage for scipy.linalg.eig_banded.
+        """LAPACK ``ab`` upper-form storage, as the banded Cholesky ``dpbtrf`` takes it.
 
         Rows above the usable bandwidth (dimension - 1) are trimmed so tiny
         spaces remain solvable.

@@ -9,8 +9,9 @@ all-to-all coupling. The constant +(J_x+J_y)/2 is retained so absolute
 energies stay traceable; gaps and order parameters are unaffected. The
 result is a real symmetric pentadiagonal matrix; ``solve_ground`` finds its
 two lowest eigenpairs in O(N) time and memory, by a branch that the field
-selects: a parity split into two tridiagonal blocks at B_x = 0, and banded
-eigenvalues plus banded inverse iteration at B_x != 0.
+selects: a parity split into two tridiagonal blocks at B_x = 0, and at
+B_x != 0 shift-and-invert with banded Cholesky factors of H - sigma*I, whose
+existence certifies sigma < E0.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .dicke import BandedHermitianOperator, DickeSpace, build_collective_operato
 
 
 class EigensolverError(RuntimeError):
-    """Eigensolver failure, carrying the dimension and parameters."""
+    """Eigensolver failure, naming the step that failed and the parameter point."""
 
-    def __init__(self, message: str, dimension: int, params: "LmgParams"):
-        super().__init__(f"{message} (dimension={dimension}, params={params})")
+    def __init__(self, step: str, message: str, dimension: int, params: "LmgParams"):
+        super().__init__(f"[{step}] {message} (dimension={dimension}, params={params})")
+        self.step = step
         self.dimension = dimension
         self.params = params
 
@@ -160,33 +162,158 @@ def _ground_by_parity(h: BandedHermitianOperator):
     return e0, e1, vec
 
 
-def _inverse_iterate(ab: np.ndarray, u: int) -> np.ndarray:
-    vec = np.ones(ab.shape[1])
-    for _ in range(3):
-        vec = scipy.linalg.solve_banded((u, u), ab, vec)
-        vec /= np.linalg.norm(vec)
-    return vec
+_SHIFT_MARGIN = 1e-13  # a trial shift stays this far below the E0 upper bound, relative to |H|
+_SHIFT_TOL = 1e-3  # relative Ritz residual that ends one shift round
+_SHIFT_ROUNDS = 20
+_HALVINGS = 60  # cap on failed trials per round: a rounded midpoint need not fall below them
+_EXCITED_TOL = 1e-12  # relative Ritz residual at which E1 counts as converged
+_LANCZOS_STEPS = 40  # cap on the Krylov dimension of one Lanczos run
 
 
-def _ground_by_inverse_iteration(h: BandedHermitianOperator):
-    """E0 and E1 from eigenvalues only; the vector from 3 inverse-iteration steps at E0.
+def _factor(h: BandedHermitianOperator, sigma: float):
+    """H - sigma*I and its banded Cholesky factor, or None where H - sigma*I is not positive definite.
 
-    The Rayleigh quotient then refines E0. An exactly singular LU moves the
-    shift by one ulp of |H|.
+    By Sylvester's law of inertia the factorization exists exactly when sigma < E0.
     """
-    upper = h.scipy_upper_bands()
-    e0, e1 = scipy.linalg.eigvals_banded(upper, select="i", select_range=(0, 1))
-    u, n = upper.shape[0] - 1, h.dimension
-    ab = np.vstack([upper, np.zeros((u, n))])  # general (u, u) band storage
-    for k in range(1, u + 1):
-        ab[u + k, : n - k] = upper[u - k, k:]
-    ab[u] -= e0
-    try:
-        vec = _inverse_iterate(ab, u)
-    except scipy.linalg.LinAlgError:  # exactly singular
-        ab[u] -= np.spacing(h.norm_upper_bound())
-        vec = _inverse_iterate(ab, u)
-    return float(vec @ h.matvec(vec)), float(e1), vec
+    bands = h.bands.copy()
+    bands[0] -= sigma
+    shifted = BandedHermitianOperator(h.dimension, h.bandwidth, bands)
+    chol, info = scipy.linalg.lapack.dpbtrf(shifted.scipy_upper_bands())
+    return None if info else (shifted, chol)
+
+
+def _top_ritz(chol: np.ndarray, start: np.ndarray, tol: float, deflate: np.ndarray | None = None):
+    """Largest Ritz pair of P (H - sigma)^-1 P, with P the projector off the unit vector ``deflate``.
+
+    Lanczos with full reorthogonalization, at most _LANCZOS_STEPS solves with
+    the Cholesky factor. Returns (mu, residual, unit Ritz vector, converged),
+    converged meaning residual <= tol * mu.
+    """
+    basis = np.empty((_LANCZOS_STEPS, start.size))
+    q = start if deflate is None else start - (deflate @ start) * deflate
+    basis[0] = q / np.linalg.norm(q)
+    t = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS))
+    for j in range(_LANCZOS_STEPS):
+        w = scipy.linalg.lapack.dpbtrs(chol, basis[j])[0]
+        if deflate is not None:
+            w -= (deflate @ w) * deflate
+        for _ in range(2):
+            coef = basis[: j + 1] @ w
+            w -= coef @ basis[: j + 1]
+            t[j, j] += coef[j]
+        beta = np.linalg.norm(w)
+        if not math.isfinite(beta):  # left for the residual guard to report
+            return math.nan, math.nan, w, False
+        ritz, vecs = np.linalg.eigh(t[: j + 1, : j + 1])
+        mu, s = ritz[-1], vecs[:, -1]
+        residual = abs(beta * s[-1])
+        if residual <= tol * mu or j + 1 == _LANCZOS_STEPS:
+            break
+        basis[j + 1] = w / beta
+        t[j + 1, j] = t[j, j + 1] = beta
+    y = s @ basis[: j + 1]
+    if deflate is not None:
+        y -= (deflate @ y) * deflate
+    return mu, residual, y / np.linalg.norm(y), residual <= tol * mu
+
+
+def _rayleigh(op: BandedHermitianOperator, x: np.ndarray):
+    """Rayleigh quotient of a unit vector and the norm of its residual."""
+    ox = op.matvec(x)
+    theta = float(x @ ox)
+    return theta, float(np.linalg.norm(ox - theta * x))
+
+
+def _check_residual(h: BandedHermitianOperator, e0: float, vec: np.ndarray, params: "LmgParams"):
+    residual = np.linalg.norm(h.matvec(vec) - e0 * vec)
+    h_norm = h.norm_upper_bound()
+    if not residual <= 1e-8 * max(h_norm, 1.0):  # a NaN residual fails too
+        raise EigensolverError(
+            "residual",
+            f"eigenpair residual {residual:.3e} exceeds 1e-8 * |H| = {1e-8 * h_norm:.3e}",
+            h.dimension,
+            params,
+        )
+
+
+def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
+    """E0, E1 - E0 and the ground vector at B_x != 0 from Cholesky factors of H - sigma*I.
+
+    1. Certified shift: sigma starts at the Gershgorin floor. Each round runs
+       Lanczos on (H - sigma)^-1 and moves sigma to the Kato lower bound of its
+       top Ritz pair, capped _SHIFT_MARGIN * |H| below the best upper bound on
+       E0; a trial counts only if its Cholesky factorization succeeds, and a
+       failed trial is halved back towards sigma.
+    2. Ground pair: inverse iteration with the last factor, E0 its Rayleigh
+       quotient; the residual guard checks it before step 3.
+    3. E1: Lanczos on (H - sigma)^-1 deflated by the ground vector, started
+       from the field term 2 B_x S_x applied to it, which flips the m-parity
+       that labels the zero-field doublet. One Krylov vector cannot resolve
+       a nearly degenerate E1, E2 pair, so there E1 may sit up to their
+       splitting above its exact value.
+
+    Energies are taken as sigma plus Rayleigh quotients of H - sigma*I, so the
+    gap is a difference of two small numbers (Ericsson and Ruhe, Math. Comp.
+    35, 1251 (1980)).
+    """
+    n = h.dimension
+    h_norm = max(h.norm_upper_bound(), 1.0)
+    margin = _SHIFT_MARGIN * h_norm
+    radius = np.zeros(n)
+    for k in range(1, h.bandwidth + 1):
+        band = np.abs(h.bands[k][: n - k])
+        radius[k:] += band
+        radius[: n - k] += band
+    sigma = float(np.min(h.bands[0] - radius)) - margin
+    factor = _factor(h, sigma)
+    if factor is None:
+        raise EigensolverError(
+            "shift",
+            f"no positive-definite shift: H - sigma*I has no Cholesky factor "
+            f"at the Gershgorin floor sigma = {sigma:.6e}",
+            n,
+            params,
+        )
+    upper = float(h.bands[0].min())
+    x = np.ones(n)
+    for _ in range(_SHIFT_ROUNDS):
+        mu, res, x, _ = _top_ritz(factor[1], x, _SHIFT_TOL)
+        theta, r = _rayleigh(factor[0], x)
+        upper = min(upper, sigma + theta, sigma + 1.0 / mu)
+        if upper - sigma <= 2.0 * margin:
+            break
+        trial = min(max(sigma + 1.0 / (mu + res), sigma + theta - r), upper - margin)
+        for _ in range(_HALVINGS):
+            if trial <= sigma:
+                break
+            candidate = _factor(h, trial)
+            if candidate is not None:
+                sigma, factor = trial, candidate
+                break
+            trial = 0.5 * (sigma + trial)
+    shifted, chol = factor
+    for _ in range(5):
+        x = scipy.linalg.lapack.dpbtrs(chol, x)[0]
+        x = x / np.linalg.norm(x)
+        theta0, r = _rayleigh(shifted, x)
+        if r <= 1e-14 * h_norm:
+            break
+    x = _fix_sign(x)
+    e0 = sigma + theta0
+    _check_residual(h, e0, x, params)
+
+    field = BandedHermitianOperator(n, 1, np.vstack([np.zeros(n), h.bands[1]]))
+    mu1, res1, y, converged = _top_ritz(chol, field.matvec(x), _EXCITED_TOL, deflate=x)
+    if not converged:
+        raise EigensolverError(
+            "excited",
+            f"E1 not converged within {_LANCZOS_STEPS} Lanczos steps "
+            f"(relative Ritz residual {res1 / mu1:.3e} > {_EXCITED_TOL:.0e})",
+            n,
+            params,
+        )
+    theta1, _ = _rayleigh(shifted, y)
+    return e0, theta1 - theta0, x
 
 
 def solve_ground(params: LmgParams) -> GroundStateResult:
@@ -196,31 +323,26 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     m-offset sublattices decouple into two tridiagonal blocks, each solved
     by bisection and inverse iteration. Deep in an ordered phase the ground
     doublet is degenerate to machine precision; the split still returns a
-    parity eigenstate, not an arbitrary mix of the pair. At B_x != 0, E0 and
-    E1 come from a banded eigenvalue-only solve, which forms no N x N
-    transform, and the ground vector from banded inverse iteration at E0.
+    parity eigenstate, not an arbitrary mix of the pair. At B_x != 0 a
+    certified shift sigma < E0 gives a banded Cholesky factor of H - sigma*I,
+    and the ground pair and E1 come from inverse iteration and Lanczos with
+    that factor (``_ground_by_shift_invert``); no step forms an N x N array
+    or costs more than O(N) per iteration.
     The vector is real, with a deterministic global sign; its residual must
-    stay within 1e-8 * max(|H|, 1).
+    stay within 1e-8 * max(|H|, 1). A failure raises EigensolverError naming
+    the step: ``parity``, ``shift``, ``residual`` or ``excited``.
     """
     h = assemble_hamiltonian(params)
+    if params.bx != 0.0:
+        e0, gap, vec = _ground_by_shift_invert(h, params)
+        return GroundStateResult(e0=e0, e1=e0 + gap, gap=gap, ground=vec, params=params)
     try:
-        if params.bx == 0.0:
-            e0, e1, vec = _ground_by_parity(h)
-        else:
-            e0, e1, vec = _ground_by_inverse_iteration(h)
+        e0, e1, vec = _ground_by_parity(h)
     except (scipy.linalg.LinAlgError, ValueError) as err:
-        raise EigensolverError(f"eigensolver failed: {err}", h.dimension, params) from err
+        raise EigensolverError("parity", f"eigensolver failed: {err}", h.dimension, params) from err
     vec = _fix_sign(vec)
-    nrm = np.linalg.norm(vec)
-    vec = vec / nrm
-    residual = np.linalg.norm(h.matvec(vec) - e0 * vec)
-    h_norm = h.norm_upper_bound()
-    if not residual <= 1e-8 * max(h_norm, 1.0):
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-8 * |H| = {1e-8 * h_norm:.3e}",
-            h.dimension,
-            params,
-        )
+    vec = vec / np.linalg.norm(vec)
+    _check_residual(h, e0, vec, params)
     return GroundStateResult(e0=e0, e1=e1, gap=e1 - e0, ground=vec, params=params)
 
 

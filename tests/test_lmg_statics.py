@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from spinamp import lmg_statics
 from spinamp.criticality import susceptibility_at
 from spinamp.dicke import build_collective_operator, expectation
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, symmetric_sector_basis
@@ -255,21 +256,21 @@ def test_residual_guard_trips_on_nan_vector(n, bx, index):
     # a NaN anywhere in the solver's vector must fail the residual check, not pass it
     params = LmgParams(n_qubits=n, jx=0.6, jy=0.7, bx=bx)
     real_tridiagonal = scipy.linalg.eigh_tridiagonal
-    real_banded = scipy.linalg.solve_banded
+    real_solve = scipy.linalg.lapack.dpbtrs
 
     def poisoned_tridiagonal(*args, **kwargs):
         w, v = real_tridiagonal(*args, **kwargs)
         v[index % v.shape[0]] = np.nan
         return w, v
 
-    def poisoned_banded(lu, ab, b, **kwargs):
-        x = real_banded(lu, ab, np.nan_to_num(b), **kwargs)
+    def poisoned_solve(chol, b, **kwargs):
+        x, info = real_solve(chol, np.nan_to_num(b), **kwargs)
         x[index % x.size] = np.nan
-        return x
+        return x, info
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.linalg, "eigh_tridiagonal", poisoned_tridiagonal)
-        mp.setattr(scipy.linalg, "solve_banded", poisoned_banded)
+        mp.setattr(scipy.linalg.lapack, "dpbtrs", poisoned_solve)
         with pytest.raises(EigensolverError, match="residual"):
             solve_ground(params)
 
@@ -281,3 +282,104 @@ def test_ground_state_sign_convention_deterministic():
     assert np.array_equal(a, b)
     first = a.real[np.argmax(np.abs(a.real) > 1e-12 * np.abs(a.real).max())]
     assert first > 0.0
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+@pytest.mark.parametrize("point", [dict(jx=0.5, jy=0.7), TEST_POINT])
+def test_shift_invert_matches_banded_eigenvalues_off_the_line(n, point):
+    # reference: LAPACK's banded eigenvalue solver (band reduction plus bisection)
+    for bx in (1e-6, 1e-3, 1e-1):
+        params = LmgParams(n_qubits=n, bx=bx, **point)
+        res = solve_ground(params)
+        h = assemble_hamiltonian(params)
+        h_norm = h.norm_upper_bound()
+        w = scipy.linalg.eigvals_banded(h.scipy_upper_bands(), select="i", select_range=(0, 1))
+        assert abs(res.e0 - w[0]) <= 1e-12 * h_norm, (n, point, bx)
+        if w[1] - w[0] < 1e-9:
+            # a y-ordered doublet, split exponentially in N; the reference's own
+            # rounding (up to 5.1e-11 here, about 1e-14 |H|) is all its gap shows
+            assert abs(res.gap) <= 1e-12, (n, point, bx)
+        else:
+            # the reference's levels sit on a grid of ulp(|E0|), 9.1e-13 at N = 10^4
+            assert abs(res.gap - (w[1] - w[0])) <= max(1e-12, 1e-15 * h_norm), (n, point, bx)
+        if w[1] - w[0] > 1e-8:
+            # sin(angle to the exact ground vector) <= residual / (E1 - rho)
+            psi = res.ground
+            hpsi = h.matvec(psi)
+            rho = float(psi @ hpsi)
+            sin = np.linalg.norm(hpsi - rho * psi) / (w[1] - rho)
+            assert np.sqrt(1.0 - sin**2) >= 1.0 - 1e-10, (n, point, bx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 101])
+def test_factored_shifts_lie_below_the_ground_energy(n):
+    # Cholesky succeeds only below E0 (Sylvester): every shift the solver factors
+    # must lie below the dense E0
+    real_factor = scipy.linalg.lapack.dpbtrf
+    for point in (TEST_POINT, dict(jx=0.7, jy=0.7), dict(jx=0.5, jy=0.7)):
+        for bx in (1e-3, -0.1):
+            params = LmgParams(n_qubits=n, bx=bx, **point)
+            diagonal = assemble_hamiltonian(params).bands[0]
+            shifts = []
+
+            def recording_factor(ab, **kwargs):
+                chol, info = real_factor(ab, **kwargs)
+                if info == 0:
+                    shifts.append(float(diagonal[0] - ab[-1, 0]))
+                return chol, info
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scipy.linalg.lapack, "dpbtrf", recording_factor)
+                res = solve_ground(params)
+            e0 = np.linalg.eigvalsh(assemble_hamiltonian(params).densify())[0]
+            assert shifts and max(shifts) < e0, (n, point, bx)
+            assert abs(res.e0 - e0) <= 1e-11 * assemble_hamiltonian(params).norm_upper_bound()
+
+
+def test_failure_names_the_shift_step():
+    params = LmgParams(n_qubits=30, bx=1e-3, **TEST_POINT)
+    real_factor = scipy.linalg.lapack.dpbtrf
+
+    def failing_factor(ab, **kwargs):
+        chol, _ = real_factor(ab, **kwargs)
+        return chol, 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg.lapack, "dpbtrf", failing_factor)
+        with pytest.raises(EigensolverError, match=r"\[shift\] no positive-definite shift") as err:
+            solve_ground(params)
+    assert err.value.step == "shift" and "n_qubits=30" in str(err.value)
+
+
+def test_excited_level_stops_at_its_iteration_cap():
+    # once the ground pair has passed its residual guard, every solve returns
+    # noise, so E1's Lanczos never converges
+    params = LmgParams(n_qubits=200, jx=0.7, jy=0.7, bx=1e-3)
+    real_check, real_solve = lmg_statics._check_residual, scipy.linalg.lapack.dpbtrs
+    rng = np.random.default_rng(7)
+    checked = []
+
+    def noting_check(*args):
+        real_check(*args)
+        checked.append(True)
+
+    def noisy_solve(chol, b, **kwargs):
+        x, info = real_solve(chol, b, **kwargs)
+        return (rng.standard_normal(x.shape) if checked else x), info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_check_residual", noting_check)
+        mp.setattr(scipy.linalg.lapack, "dpbtrs", noisy_solve)
+        with pytest.raises(EigensolverError, match=r"\[excited\] E1 not converged within 40") as err:
+            solve_ground(params)
+    assert err.value.step == "excited" and "bx=0.001" in str(err.value)
+
+
+def test_solve_at_n_1e5_passes_the_residual_guard():
+    # every step is O(N): no N x N array, so N = 10^5 takes a fraction of a second
+    params = LmgParams(n_qubits=100_000, bx=1e-3, **TEST_POINT)
+    res = solve_ground(params)
+    h = assemble_hamiltonian(params)
+    psi = res.ground
+    assert np.linalg.norm(h.matvec(psi) - res.e0 * psi) <= 1e-8 * h.norm_upper_bound()
+    assert res.gap >= -1e-10
