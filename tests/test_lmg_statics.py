@@ -319,7 +319,8 @@ def test_factored_shifts_lie_below_the_ground_energy(n):
     for point in (TEST_POINT, dict(jx=0.7, jy=0.7), dict(jx=0.5, jy=0.7)):
         for bx in (1e-3, -0.1):
             params = LmgParams(n_qubits=n, bx=bx, **point)
-            diagonal = assemble_hamiltonian(params).bands[0]
+            h = assemble_hamiltonian(params)
+            diagonal = h.bands[0]
             shifts = []
 
             def recording_factor(ab, **kwargs):
@@ -331,9 +332,9 @@ def test_factored_shifts_lie_below_the_ground_energy(n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scipy.linalg.lapack, "dpbtrf", recording_factor)
                 res = solve_ground(params)
-            e0 = np.linalg.eigvalsh(assemble_hamiltonian(params).densify())[0]
+            e0 = np.linalg.eigvalsh(h.densify())[0]
             assert shifts and max(shifts) < e0, (n, point, bx)
-            assert abs(res.e0 - e0) <= 1e-11 * assemble_hamiltonian(params).norm_upper_bound()
+            assert abs(res.e0 - e0) <= 1e-11 * h.norm_upper_bound()
 
 
 def test_failure_names_the_shift_step():
