@@ -13,6 +13,7 @@ manifold eats neither the RK4 error budget nor Chebyshev terms.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -70,19 +71,25 @@ class DriveSchedule:
 class AmplifierTrajectory:
     """The samples of one evolve run, on the grid of stepping.sample_grid.
 
-    states[k] is the renormalized state at times[k], one row of an
-    (n_samples, dimension) complex array; sx2[k] and sy2[k] are its
-    <S_x^2> and <S_y^2>.
+    sx2[k] and sy2[k] are <S_x^2> and <S_y^2> of the renormalized state at
+    times[k], for every stored sample. Only the states evolve was asked to
+    keep are held: states[j] is the renormalized state at snapshot_times[j],
+    one row of a (len(snapshot_times), dimension) complex array.
     """
 
     times: np.ndarray
-    states: np.ndarray
     sx2: np.ndarray
     sy2: np.ndarray
+    snapshot_times: np.ndarray
+    states: np.ndarray
     params: LmgParams
 
     def state_at(self, t: float) -> np.ndarray:
-        return self.states[sample_index(self.times, t)]
+        """The kept state at time t; ValueError if none was kept within rounding of t."""
+        if self.snapshot_times.size:
+            with contextlib.suppress(ValueError):
+                return self.states[sample_index(self.snapshot_times, t)]
+        raise ValueError(f"no state kept at t = {t}; kept times are {self.snapshot_times.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -171,13 +178,20 @@ def evolve(
     t_end: float,
     dt: float,
     sample_every: int,
+    *,
+    snapshots=(),
 ) -> AmplifierTrajectory:
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
     params is the whole amplifier: the run starts in the ground state of
     params at bx = 0, and the drive scales params.bx by P_e(t). dt must
     pass check_step. A sample is stored on the grid of stepping.sample_grid,
-    written in place into arrays sized before the first step.
+    written in place into arrays sized before the first step: <S_x^2> and
+    <S_y^2> at every sample, and the state only at the sample times listed
+    in snapshots. Each snapshot time is mapped to its sample by
+    stepping.sample_index before any work, so a time off the grid is a
+    ValueError; the running state is one vector, so a run that keeps no
+    state needs O(N) memory whatever its length.
 
     Up to k_flat, the first stored sample at or after flat_drive_start(drive),
     evolve takes one rk4_step per step of dt, each with four pe_at calls.
@@ -191,6 +205,7 @@ def evolve(
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
     steps, times = sample_grid(t_start, t_end, dt, sample_every)
+    kept = np.array([sample_index(times, t) for t in snapshots], dtype=int)
     k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
 
     space = params.space
@@ -220,11 +235,11 @@ def evolve(
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
 
-    states = np.empty((steps.size, n), dtype=complex)
+    states = np.empty((kept.size, n), dtype=complex)
     sx2_vals = np.empty(steps.size)
     sy2_vals = np.empty(steps.size)
-    states[0] = ground.ground
-    psi = states[0]
+    psi = ground.ground.astype(complex)
+    states[kept == 0] = psi
     sx2_vals[0] = expectation(sx2, psi)
     sy2_vals[0] = expectation(sy2, psi)
     drift = 0.0
@@ -240,12 +255,14 @@ def evolve(
             raise IntegrationError(
                 f"norm drift {drift:.3e} exceeded 1e-6 at t = {times[k]:.4f} with dt = {dt}"
             )
-        states[k] = psi / nrm
-        psi = states[k]
+        psi = psi / nrm
+        states[kept == k] = psi
         sx2_vals[k] = expectation(sx2, psi)
         sy2_vals[k] = expectation(sy2, psi)
 
-    return AmplifierTrajectory(times=times, states=states, sx2=sx2_vals, sy2=sy2_vals, params=params)
+    return AmplifierTrajectory(
+        times=times, sx2=sx2_vals, sy2=sy2_vals, snapshot_times=times[kept], states=states, params=params
+    )
 
 
 def quantum_gain(traj: AmplifierTrajectory, *, t_arrival: float = 0.0) -> GainTrace:

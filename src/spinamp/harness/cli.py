@@ -49,7 +49,7 @@ def _cmd_run(args) -> int:
         for entry in manifest.outputs:
             print(f"wrote {cfg.output.directory}/{entry['path']}")
         for stage in manifest.stages:
-            print(f"  {stage['name']}: {stage['seconds']:.2f} s")
+            print(f"  {stage['name']}: {stage['seconds']:.2f} s, peak RSS {stage['peak_rss_mb']:.1f} MB")
         total = sum(s["seconds"] for s in manifest.stages)
         print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
     return 0

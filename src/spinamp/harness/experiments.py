@@ -2,8 +2,9 @@
 
 Outputs are CSV files with fixed column schemas (17 significant digits,
 byte-identical across reruns of the same config) plus a manifest.json
-written last, carrying the config echo, per-stage wall times, and SHA-256
-digests of every emitted file. SVG emission is optional and presentational.
+written last, carrying the config echo, per-stage wall times and peak RSS,
+and SHA-256 digests of every emitted file. SVG emission is optional and
+presentational.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,7 +64,7 @@ class RunManifest:
     experiment: str
     version: str
     config_text: str
-    stages: list = field(default_factory=list)  # [{"name":..., "seconds":...}]
+    stages: list = field(default_factory=list)  # [{"name":..., "seconds":..., "peak_rss_mb":...}]
     outputs: list = field(default_factory=list)  # [{"path":..., "sha256":...}]
 
     def to_json(self) -> str:
@@ -86,7 +88,10 @@ class _Run:
         try:
             yield
         finally:
-            self.records.append({"name": name, "seconds": time.perf_counter() - t0})
+            seconds = time.perf_counter() - t0
+            # the process's peak resident set so far, in KiB on Linux
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            self.records.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb})
 
     def csv(self, name, header, rows):
         self.files.append(write_csv(self.out / name, header, rows))
@@ -171,10 +176,10 @@ def _models(cfg: ExperimentConfig, values=None) -> list[LmgParams]:
     return [LmgParams(**{**fields, free[0]: cast(v)}) for v in values]
 
 
-def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams):
-    """Amplifier trajectory of params over the configured time grid."""
+def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, snapshots=()):
+    """Amplifier trajectory of params over the configured grid, keeping the states at snapshots."""
     grid = cfg.integration
-    return evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every)
+    return evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots=snapshots)
 
 
 def _fit_row(name, fit):
@@ -245,7 +250,7 @@ def _run_fig3(cfg, run):
     for params in _models(cfg):
         jx = params.jx
         with run.stage(f"dynamics-jx={jx:g}"):
-            traj = _amplify(cfg, drive, params)
+            traj = _amplify(cfg, drive, params, FIG3_SNAPSHOTS)
         with run.stage(f"qfunction-jx={jx:g}"):
             for t_snap in FIG3_SNAPSHOTS:
                 grid = q_function(traj.state_at(t_snap), traj.params.space)
@@ -338,7 +343,7 @@ def _run_figs3(cfg, run):
     rows = []
     for params in _models(cfg):
         with run.stage(f"dynamics-n={params.n_qubits}"):
-            # no name holds the trajectory, so its states are freed before the next N runs
+            # the trajectory keeps no state, only <S_x^2> and <S_y^2> per sample
             gain = quantum_gain(_amplify(cfg, drive, params), t_arrival=cfg.pulse.t_arrival)
             rows.append((params.n_qubits, gain.g_max, gain.t_am))
     run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)

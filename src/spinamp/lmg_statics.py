@@ -186,13 +186,16 @@ def _top_ritz(chol: np.ndarray, start: np.ndarray, tol: float, deflate: np.ndarr
     """Largest Ritz pair of P (H - sigma)^-1 P, with P the projector off the unit vector ``deflate``.
 
     Lanczos with full reorthogonalization, at most _LANCZOS_STEPS solves with
-    the Cholesky factor. Returns (mu, residual, unit Ritz vector, converged),
-    converged meaning residual <= tol * mu.
+    the Cholesky factor; the Lanczos matrix is kept as its two diagonals and
+    solved by LAPACK dstev. Returns (mu, residual, unit Ritz vector,
+    converged), converged meaning residual <= tol * mu. A non-finite step or
+    a dstev failure returns mu = residual = NaN, not converged.
     """
     basis = np.empty((_LANCZOS_STEPS, start.size))
     q = start if deflate is None else start - (deflate @ start) * deflate
     basis[0] = q / np.linalg.norm(q)
-    t = np.zeros((_LANCZOS_STEPS, _LANCZOS_STEPS))
+    alpha = np.zeros(_LANCZOS_STEPS)
+    beta = np.zeros(_LANCZOS_STEPS)  # beta[j] couples basis vectors j and j + 1
     for j in range(_LANCZOS_STEPS):
         w = scipy.linalg.lapack.dpbtrs(chol, basis[j])[0]
         if deflate is not None:
@@ -200,17 +203,19 @@ def _top_ritz(chol: np.ndarray, start: np.ndarray, tol: float, deflate: np.ndarr
         for _ in range(2):
             coef = basis[: j + 1] @ w
             w -= coef @ basis[: j + 1]
-            t[j, j] += coef[j]
-        beta = np.linalg.norm(w)
-        if not math.isfinite(beta):  # left for the residual guard to report
+            alpha[j] += coef[j]
+        beta[j] = np.linalg.norm(w)
+        if not math.isfinite(beta[j]):  # left for the residual guard to report
             return math.nan, math.nan, w, False
-        ritz, vecs = np.linalg.eigh(t[: j + 1, : j + 1])
+        # dstev takes max(j, 1) off-diagonal entries; at j = 0 the one it reads is unused
+        ritz, vecs, info = scipy.linalg.lapack.dstev(alpha[: j + 1], beta[: max(j, 1)])
+        if info:
+            return math.nan, math.nan, w, False
         mu, s = ritz[-1], vecs[:, -1]
-        residual = abs(beta * s[-1])
+        residual = abs(beta[j] * s[-1])
         if residual <= tol * mu or j + 1 == _LANCZOS_STEPS:
             break
-        basis[j + 1] = w / beta
-        t[j + 1, j] = t[j, j + 1] = beta
+        basis[j + 1] = w / beta[j]
     y = s @ basis[: j + 1]
     if deflate is not None:
         y -= (deflate @ y) * deflate
@@ -284,7 +289,7 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
             break
         trial = min(max(sigma + 1.0 / (mu + res), sigma + theta - r), upper - margin)
         for _ in range(_HALVINGS):
-            if trial <= sigma:
+            if not trial > sigma:  # a NaN trial is never factored: dpbtrf can pass NaN bands
                 break
             candidate = _factor(h, trial)
             if candidate is not None:

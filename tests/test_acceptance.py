@@ -30,6 +30,7 @@ from spinamp.lmg_statics import (
     solvable_line_energies,
     solve_ground,
 )
+from spinamp.stepping import sample_grid
 from test_absorber import reconstructed_blocks
 
 _T0 = {}
@@ -74,7 +75,10 @@ def absorber_drive():
 @pytest.fixture(scope="module")
 def critical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.675, jy=0.7, bx=0.01)
-    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
+    _, every_sample = sample_grid(-5.0, 20.0, 1e-3, 25)  # C9 and C11 read the states
+    return evolve(
+        params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25, snapshots=every_sample
+    )
 
 
 @pytest.fixture(scope="module")

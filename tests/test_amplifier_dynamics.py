@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,15 @@ from spinamp.amplifier_dynamics import (
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, coherent_amplitudes, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from spinamp.stepping import IntegrationError
+from spinamp.stepping import IntegrationError, sample_grid
 
 BIAS = dict(jx=0.675, jy=0.7)
+
+
+def evolve_keeping_all(params, drive, t_start, t_end, dt, sample_every):
+    """evolve with every stored sample's state kept."""
+    _, times = sample_grid(t_start, t_end, dt, sample_every)
+    return evolve(params, drive, t_start, t_end, dt, sample_every, snapshots=times)
 
 
 def test_drive_schedule_validation():
@@ -49,13 +56,17 @@ def test_drive_schedule_interpolation_and_extrapolation():
     assert drive.pe_at(10.0) == 1.0
 
 
-def test_evolve_preconditions():
+def test_evolve_preconditions(monkeypatch):
     params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
     drive = DriveSchedule.zero(-1.0, 1.0)
     with pytest.raises(ValueError, match="dt"):
         evolve(params, drive, -1.0, 1.0, dt=5e-3, sample_every=25)
     with pytest.raises(ValueError, match="t_start"):
         evolve(params, drive, 0.0, 1.0, 1e-3, 25)
+    # an off-grid snapshot is refused before the ground state is solved or any step taken
+    monkeypatch.setattr(amplifier_dynamics, "solve_ground", lambda p: pytest.fail("evolve started work"))
+    with pytest.raises(ValueError, match="no stored sample at t = 0.1234567"):
+        evolve(params, drive, -1.0, 1.0, 1e-3, 25, snapshots=(0.5, 0.1234567))
 
 
 def test_norm_drift_guard_trips_on_nan(monkeypatch):
@@ -121,7 +132,8 @@ def test_flat_stretch_matches_dense_expm(n_qubits):
     strides of 400 steps need a longer series than the registry's 25."""
     params = LmgParams(n_qubits=n_qubits, bx=0.3, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 3.0]), pe=np.array([0.6, 0.6]))
-    traj = evolve(params, drive, -1.0, 2.13, 1e-3, 400)  # 3130 steps: 7 strides of 400, one of 330
+    # 3130 steps: 7 strides of 400, one of 330
+    traj = evolve_keeping_all(params, drive, -1.0, 2.13, 1e-3, 400)
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
     h = assemble_hamiltonian(dataclasses.replace(params, bx=0.6 * params.bx)).densify()
     h -= ground.e0 * np.eye(h.shape[0])
@@ -152,8 +164,8 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
     )
     assert flat_drive_start(moving) == 21.0
     params = LmgParams(n_qubits=n_qubits, jx=0.675, jy=0.7, bx=0.01)
-    traj = evolve(params, registry_drive, -5.0, 20.0, 1e-3, 25)
-    ref = evolve(params, moving, -5.0, 20.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, registry_drive, -5.0, 20.0, 1e-3, 25)
+    ref = evolve_keeping_all(params, moving, -5.0, 20.0, 1e-3, 25)
     k_flat = int(np.searchsorted(traj.times, t_flat))
     assert np.array_equal(traj.states[: k_flat + 1], ref.states[: k_flat + 1])
     assert np.abs(traj.sx2 - ref.sx2).max() / ref.sx2.min() < 1e-10
@@ -165,7 +177,7 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
 def test_ground_state_is_stationary_without_drive():
     # params.bx is scaled by P_e = 0, so the zero-field ground state stays put
     params = LmgParams(n_qubits=60, bx=0.01, **BIAS)
-    traj = evolve(params, DriveSchedule.zero(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, DriveSchedule.zero(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
     assert np.abs(traj.sx2 - traj.sx2[0]).max() < 1e-8
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
@@ -174,7 +186,7 @@ def test_ground_state_is_stationary_without_drive():
 def test_energy_conserved_with_frozen_drive():
     params = LmgParams(n_qubits=100, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 4.0]), pe=np.array([1.0, 1.0]))
-    traj = evolve(params, drive, -1.0, 4.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, drive, -1.0, 4.0, 1e-3, 25)
     h_field = assemble_hamiltonian(params)
     energies = np.array([expectation(h_field, s) for s in traj.states])
     assert np.abs(energies - energies[0]).max() / abs(energies[0]) < 1e-8
@@ -193,9 +205,10 @@ def test_quantum_gain_definition():
     sx2 = np.array([2.0, 4.0, 19.5, 20.0, 18.0])
     traj = AmplifierTrajectory(
         times=times,
-        states=np.zeros((5, 2), dtype=complex),
         sx2=sx2,
         sy2=sx2,
+        snapshot_times=times,
+        states=np.zeros((5, 2), dtype=complex),
         params=LmgParams(n_qubits=1, jx=0.0, jy=0.0),
     )
     gain = quantum_gain(traj, t_arrival=1.0)
@@ -211,7 +224,7 @@ def test_last_partial_sample():
     """A span that is no whole number of sample strides ends on a shorter stride."""
     params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
-    traj = evolve(params, drive, -1.0, 0.01, dt=1e-3, sample_every=100)  # 1010 steps
+    traj = evolve_keeping_all(params, drive, -1.0, 0.01, dt=1e-3, sample_every=100)  # 1010 steps
     assert np.array_equal(traj.times, -1.0 + 1e-3 * np.array([*range(0, 1001, 100), 1010]))
     assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() < 1e-12
     assert np.all(np.abs(np.diff(traj.states, axis=0)).max(axis=1) > 1e-6)
@@ -225,10 +238,44 @@ def test_last_partial_sample():
 
 def test_state_at_lookup():
     params = LmgParams(n_qubits=12, **BIAS)
-    traj = evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
+    traj = evolve_keeping_all(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
     assert traj.state_at(0.1).shape == (13,)
     with pytest.raises(ValueError):
         traj.state_at(0.1234567)
+    # a stored sample whose state was not kept, and a run that kept none
+    some = evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100, snapshots=(0.2,))
+    assert np.array_equal(some.state_at(0.2), traj.state_at(0.2))
+    with pytest.raises(ValueError, match=r"no state kept at t = 0.1; kept times are \[0.2"):
+        some.state_at(0.1)
+    with pytest.raises(ValueError, match="no state kept at t = 0.2"):
+        evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100).state_at(0.2)
+
+
+def test_run_keeping_no_state_needs_no_per_sample_memory():
+    """2001 samples at N = 400 would be 12.8 MB of states; a run that keeps
+    none peaks below a tenth of that, on both the RK4 and the Chebyshev stretch."""
+    params = LmgParams(n_qubits=400, bx=0.01, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 0.0]), pe=np.array([0.0, 0.5]))  # flat from t = 0
+    tracemalloc.start()
+    try:
+        traj = evolve(params, drive, -1.0, 1.0, 1e-3, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < traj.sx2.size * 401 * 16 / 10
+    assert traj.states.shape == (0, 401) and traj.sx2.size == 2001
+
+
+def test_kept_states_are_the_rows_of_a_run_keeping_all():
+    params = LmgParams(n_qubits=50, bx=0.01, **BIAS)
+    drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 0.5]))  # flat from t = 0
+    every = evolve_keeping_all(params, drive, -1.0, 1.01, 1e-3, 25)
+    snapshots = (0.5, -1.0, 1.01, 0.5, 0.0)  # unordered, repeated, the first and the shorter last sample
+    some = evolve(params, drive, -1.0, 1.01, 1e-3, 25, snapshots=snapshots)
+    assert some.states.shape == (5, 51)
+    assert np.array_equal(some.sx2, every.sx2) and np.array_equal(some.sy2, every.sy2)
+    for t in snapshots:
+        assert np.array_equal(some.state_at(t), every.state_at(t))
 
 
 def test_q_function_pole_state():

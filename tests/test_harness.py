@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -483,6 +484,18 @@ def test_cli_run_several_experiments(tmp_path, capsys):
         assert verify_manifest(tmp_path / name / "manifest.json")
         assert f"{name}: " in out
     assert "  absorber: " in out and "  field-sweep: " in out  # stage seconds
+
+
+def test_manifest_records_peak_rss_of_every_stage(tmp_path, capsys):
+    assert main(["run", "fig5_correlation_gap", "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == ["field-sweep", "fit"]
+    peaks = [s["peak_rss_mb"] for s in stages]
+    assert all(math.isfinite(p) and p > 0.0 for p in peaks)
+    assert peaks == sorted(peaks)  # a high-water mark never falls
+    out = capsys.readouterr().out
+    for s in stages:
+        assert f"  {s['name']}: {s['seconds']:.2f} s, peak RSS {s['peak_rss_mb']:.1f} MB\n" in out
 
 
 def test_cli_run_rejects_config_for_several(tmp_path, capsys):

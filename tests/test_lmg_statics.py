@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinamp import lmg_statics
-from spinamp.criticality import susceptibility_at
+from spinamp.criticality import field_sweep, susceptibility_at
 from spinamp.dicke import build_collective_operator, expectation
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, symmetric_sector_basis
 from spinamp.lmg_statics import (
@@ -374,6 +374,67 @@ def test_excited_level_stops_at_its_iteration_cap():
         with pytest.raises(EigensolverError, match=r"\[excited\] E1 not converged within 40") as err:
             solve_ground(params)
     assert err.value.step == "excited" and "bx=0.001" in str(err.value)
+
+
+def _dense_tridiagonal_eigh(d, e, **kwargs):
+    """The Ritz step as it was before dstev: np.linalg.eigh of the dense Lanczos matrix."""
+    t = np.diag(d) + np.diag(e[: d.size - 1], 1) + np.diag(e[: d.size - 1], -1)
+    return (*np.linalg.eigh(t), 0)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 2000])
+def test_tridiagonal_ritz_step_matches_dense_eigh(n):
+    """On the transition line, over the fig4 / fig5 / figS8 field range, the
+    dstev Ritz step leaves the observables where the dense eigh step put
+    them: chi within 1e-10 relative (measured <= 1.1e-12), the gap within
+    1e-14 (<= 5.6e-17), zeta_x and c_xxyy within 1e-14 relative (equal)."""
+    params = LmgParams(n_qubits=n, jx=0.7, jy=0.7)
+    fields = np.geomspace(1e-6, 1e-2, 9)
+    new = field_sweep(params, fields)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg.lapack, "dstev", _dense_tridiagonal_eigh)
+        old = field_sweep(params, fields)
+    for a, b in zip(new, old):
+        assert abs(a.chi - b.chi) <= 1e-10 * abs(b.chi)
+        assert abs(a.gap - b.gap) <= 1e-14
+        assert abs(a.zeta_x - b.zeta_x) <= 1e-14 * b.zeta_x
+        assert abs(a.c_xxyy - b.c_xxyy) <= 1e-14 * abs(b.c_xxyy)
+
+
+def test_failed_ritz_step_is_not_converged():
+    # a nonzero dstev info once the ground pair has passed its guard fails E1
+    params = LmgParams(n_qubits=200, jx=0.7, jy=0.7, bx=1e-3)
+    real_check, real_factor = lmg_statics._check_residual, lmg_statics._factor
+    real_stev = scipy.linalg.lapack.dstev
+    checked, shifts = [], []
+
+    def noting_check(*args):
+        real_check(*args)
+        checked.append(True)
+
+    def failing_stev(d, e, **kwargs):
+        w, v, info = real_stev(d, e, **kwargs)
+        return w, v, (1 if checked else info)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_check_residual", noting_check)
+        mp.setattr(scipy.linalg.lapack, "dstev", failing_stev)
+        with pytest.raises(EigensolverError, match=r"\[excited\] E1 not converged") as err:
+            solve_ground(params)
+    assert err.value.step == "excited"
+
+    # failing from the first shift round on, the solve still fails loudly and
+    # never factors a NaN shift, which dpbtrf could pass
+    def noting_factor(h, sigma):
+        shifts.append(sigma)
+        return real_factor(h, sigma)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_factor", noting_factor)
+        mp.setattr(scipy.linalg.lapack, "dstev", lambda d, e, **kwargs: (*real_stev(d, e, **kwargs)[:2], 1))
+        with pytest.raises(EigensolverError):
+            solve_ground(params)
+    assert shifts and all(np.isfinite(shifts))
 
 
 def test_solve_at_n_1e5_passes_the_residual_guard():
