@@ -83,10 +83,6 @@ class PulseEnvelope:
         pref = (2.0 * np.pi * self.tau_f**2) ** (-0.25)
         return pref * np.exp(-((t - self.t_arrival) ** 2) / (4.0 * self.tau_f**2))
 
-    def norm_on_grid(self, times: np.ndarray) -> float:
-        amp = self.amplitude(times)
-        return float(np.trapezoid(amp * amp, times))
-
 
 @dataclass(frozen=True)
 class AbsorberParams:

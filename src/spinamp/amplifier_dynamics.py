@@ -9,6 +9,18 @@ has taken its final value, one Chebyshev series for exp(-i H tau) per
 stored stride of the then constant H. The ground energy is subtracted before
 propagation - a global phase - so the fast phase winding of the low-lying
 manifold eats neither the RK4 error budget nor Chebyshev terms.
+
+Both stretches run on a window of Dicke levels, not on the whole space. The
+low-lying LMG states are wave packets about sqrt(N) levels wide (Dusuel and
+Vidal, PRB 71, 224420 (2005)); every level far outside one holds numerical
+dust. Before each group of RK4 steps and each Chebyshev stride, each end of
+the state is cut back while the cut stays within SUPPORT_TAIL of norm and
+set to exactly 0, and the steps run on the levels left plus their reach:
+the levels a banded H can fill in those steps. Outside that slice the state
+stays exactly zero, so on it the arithmetic is that of the whole space; only
+the trimmed norm differs, and the norm-drift guard counts it. RK4 on the
+window is stable while dt times the largest Gershgorin row bound of H - E0
+there stays within RK4_STABLE; evolve checks this before every group.
 """
 
 from __future__ import annotations
@@ -28,6 +40,17 @@ Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
 Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
 MAX_DT = 1e-3  # the largest RK4 step evolve takes while the drive moves
 SERIES_CUT = 1e-17  # the Chebyshev series stops at the first |J_k| below this past k = x
+# Each end of the state is trimmed while the cut keeps a norm of at most
+# this: 1e-14 of a double's rounding of the unit norm, while its square,
+# 1e-60, stays far above float64 underflow.
+SUPPORT_TAIL = 1e-30
+# RK4 steps between trims. A trim costs a few passes over the window, and
+# each step of a group widens it by RK4_REACH; 1, 5 and 25 cost the same
+# within timing noise at N = 400-1600, and 5 keeps the widening to 40 levels.
+TRIM_EVERY = 5
+RK4_REACH = 8  # levels one RK4 step can fill: four products with the bandwidth-2 H
+CHEBYSHEV_REACH = 2  # levels one Chebyshev term can fill: one product with H
+RK4_STABLE = 2.0 * np.sqrt(2.0)  # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt 2
 
 
 def check_step(dt: float) -> None:
@@ -59,10 +82,6 @@ class DriveSchedule:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "pe", pe)
 
-    @classmethod
-    def zero(cls, t_start: float, t_end: float) -> "DriveSchedule":
-        return cls(times=np.array([t_start, t_end]), pe=np.zeros(2))
-
     def pe_at(self, t):
         return np.interp(t, self.times, self.pe)
 
@@ -75,6 +94,9 @@ class AmplifierTrajectory:
     times[k], for every stored sample. Only the states evolve was asked to
     keep are held: states[j] is the renormalized state at snapshot_times[j],
     one row of a (len(snapshot_times), dimension) complex array.
+
+    max_window is the most Dicke levels one propagation step ran on, and
+    norm_drift the sum of |norm - 1| over the samples that the guard checks.
     """
 
     times: np.ndarray
@@ -83,6 +105,8 @@ class AmplifierTrajectory:
     snapshot_times: np.ndarray
     states: np.ndarray
     params: LmgParams
+    max_window: int
+    norm_drift: float
 
     def state_at(self, t: float) -> np.ndarray:
         """The kept state at time t; ValueError if none was kept within rounding of t."""
@@ -110,24 +134,56 @@ def flat_drive_start(drive: DriveSchedule) -> float:
     return float(drive.times[moving[-1] + 1] if moving.size else drive.times[0])
 
 
+def _support(psi: np.ndarray) -> tuple[int, int]:
+    """[lo, hi): psi without the longest run at each end whose norm is at most
+    SUPPORT_TAIL. A NaN or inf ends a run, so it always stays inside."""
+    tail = SUPPORT_TAIL**2
+    weight = psi.real**2 + psi.imag**2
+    lo = int(np.count_nonzero(np.cumsum(weight) <= tail))
+    hi = psi.size - int(np.count_nonzero(np.cumsum(weight[::-1]) <= tail))
+    return lo, max(lo, hi)
+
+
+def _trim(psi: np.ndarray, a: int, b: int) -> tuple[int, int]:
+    """Set the tails _support finds in psi[a:b] to 0 and return the rest as
+    [lo, hi); psi must be zero outside [a, b)."""
+    lo, hi = _support(psi[a:b])
+    psi[a : a + lo] = 0.0
+    psi[a + hi : b] = 0.0
+    return a + lo, a + hi
+
+
+def _row_radius(off1: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Per row, the sum of |off-diagonal| of the symmetric pentadiagonal
+    matrix with bands off1 (length n - 1) and off2 (length n - 2)."""
+    n = off1.size + 1
+    radius = np.zeros(n)
+    for k, band in ((1, np.abs(off1)), (2, np.abs(off2))):
+        radius[: n - k] += band
+        radius[k:] += band
+    return radius
+
+
 def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, dt: float):
-    """step(psi, n_steps) = exp(-i H n_steps dt) psi for the real symmetric
-    pentadiagonal H with bands (diag, off1, off2), by a Chebyshev series with
-    Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-    3967 (1984)).
+    """step(psi, n_steps, lo, hi) = exp(-i H n_steps dt) psi for the real
+    symmetric pentadiagonal H with bands (diag, off1, off2), by a Chebyshev
+    series with Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)).
 
     H is mapped onto [-1, 1] through its Gershgorin interval, as in
     BandedHermitianOperator.norm_upper_bound, so every T_k(H~) psi stays
     bounded by |psi|. With x = half-width * tau,
     exp(-i H tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
-    cut at SERIES_CUT; the coefficients are kept per distinct n_steps. The
-    scratch is a few vectors of length n.
+    cut at SERIES_CUT; the coefficients are kept per distinct n_steps.
+
+    psi must be zero outside [lo, hi). Each term widens the support by
+    CHEBYSHEV_REACH levels, so step runs the series on [lo, hi) plus the
+    reach of all its terms, with H's bands cut to that slice, writes the
+    result back into psi and returns the slice as (a, b). The scratch is a
+    few vectors of the slice's length.
     """
     n = diag.size
-    radius = np.zeros(n)
-    for k, band in ((1, np.abs(off1)), (2, np.abs(off2))):
-        radius[: n - k] += band
-        radius[k:] += band
+    radius = _row_radius(off1, off2)
     lo, hi = float((diag - radius).min()), float((diag + radius).max())
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     # twice H~ = (H - mid) / half, complex so no product casts its operands
@@ -135,14 +191,15 @@ def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, 
     u2 = (2.0 / half * off1).astype(complex)
     v2 = (2.0 / half * off2).astype(complex)
 
-    def twice_scaled(psi, prev):
-        """2 H~ psi - prev."""
-        out = d2 * psi
+    def twice_scaled(psi, prev, d, u, v):
+        """2 H~ psi - prev on a slice whose bands are (d, u, v)."""
+        m = psi.size
+        out = d * psi
         out -= prev
-        out[: n - 1] += u2 * psi[1:]
-        out[1:] += u2 * psi[: n - 1]
-        out[: n - 2] += v2 * psi[2:]
-        out[2:] += v2 * psi[: n - 2]
+        out[: m - 1] += u * psi[1:]
+        out[1:] += u * psi[: m - 1]
+        out[: m - 2] += v * psi[2:]
+        out[2:] += v * psi[: m - 2]
         return out
 
     coefficients = {}
@@ -157,16 +214,21 @@ def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, 
         c[0] /= 2.0
         return np.exp(-1j * mid * tau) * c
 
-    def step(psi, n_steps):
+    def step(psi, n_steps, lo, hi):
         if n_steps not in coefficients:
             coefficients[n_steps] = series(n_steps)
         c = coefficients[n_steps]
-        prev, cur = psi, 0.5 * twice_scaled(psi, np.zeros_like(psi))
+        reach = CHEBYSHEV_REACH * c.size
+        a, b = max(lo - reach, 0), min(hi + reach, n)
+        bands = d2[a:b], u2[a : b - 1], v2[a : b - 2]
+        window = psi[a:b]
+        prev, cur = window, 0.5 * twice_scaled(window, np.zeros_like(window), *bands)
         out = c[0] * prev + c[1] * cur
         for ck in c[2:]:
-            prev, cur = cur, twice_scaled(cur, prev)
+            prev, cur = cur, twice_scaled(cur, prev, *bands)
             out += ck * cur
-        return out
+        psi[a:b] = out
+        return a, b
 
     return step
 
@@ -197,9 +259,19 @@ def evolve(
     evolve takes one rk4_step per step of dt, each with four pe_at calls.
     After k_flat the Hamiltonian is constant, and each stride between stored
     samples is one exp(-i H tau) from _chebyshev_propagator; the drive is not
-    looked up again. On both stretches norm drift accumulated across samples
-    must stay below 1e-6 (states are renormalized at sample points),
-    otherwise IntegrationError names the time.
+    looked up again.
+
+    Every TRIM_EVERY RK4 steps, and before each Chebyshev stride, _trim cuts
+    the state's tails of norm at most SUPPORT_TAIL to exactly 0, and the
+    steps run on the levels left plus their reach: RK4_REACH per RK4 step,
+    CHEBYSHEV_REACH per Chebyshev term. A state that fills the space runs on
+    the whole space. Before each group of RK4 steps, dt times the largest
+    Gershgorin row bound of H - E0 on the slice, with P_e at its largest
+    sample, must stay within RK4_STABLE; otherwise IntegrationError names
+    the time, the slice and the bound. On both stretches norm drift
+    accumulated across samples must stay below 1e-6 (states are
+    renormalized at sample points), otherwise IntegrationError names the
+    time.
     """
     check_step(dt)
     if t_start > drive.times[0]:
@@ -220,15 +292,24 @@ def evolve(
     # -i H folded into the bands: multiplying by -1j only swaps and negates
     # parts, so each product is the one of -1j * (H psi) to the last bit
     mb0, mb2, msx = -1j * b0, -1j * b2, -1j * sx_band
+    # Gershgorin row bounds of H - E0 at the largest drive sample
+    row_bound = np.abs(b0) + _row_radius(abs(two_bx * drive.pe.max()) * sx_band, b2)
 
-    def deriv(t, psi):
-        y = mb0 * psi
-        u = (two_bx * drive.pe_at(t)) * msx
-        y[: n - 1] += u * psi[1:]
-        y[1:] += u * psi[: n - 1]
-        y[: n - 2] += mb2 * psi[2:]
-        y[2:] += mb2 * psi[: n - 2]
-        return y
+    def window_deriv(a, b):
+        """-i H(t) y for y on the levels [a, b)."""
+        d, s, v = mb0[a:b], msx[a : b - 1], mb2[a : b - 2]
+        m = b - a
+
+        def deriv(t, y):
+            out = d * y
+            u = (two_bx * drive.pe_at(t)) * s
+            out[: m - 1] += u * y[1:]
+            out[1:] += u * y[: m - 1]
+            out[: m - 2] += v * y[2:]
+            out[2:] += v * y[: m - 2]
+            return out
+
+        return deriv
 
     flat_step = _chebyshev_propagator(b0, (two_bx * drive.pe[-1]) * sx_band, b2, dt)
 
@@ -243,12 +324,31 @@ def evolve(
     sx2_vals[0] = expectation(sx2, psi)
     sy2_vals[0] = expectation(sy2, psi)
     drift = 0.0
+    a, b = 0, n  # psi is exactly zero outside [a, b)
+    max_window = 0
     for k in range(1, steps.size):
         if k <= k_flat:
-            for i in range(steps[k - 1], steps[k]):
-                psi = rk4_step(psi, t_start + i * dt, dt, deriv)
+            for first in range(steps[k - 1], steps[k], TRIM_EVERY):
+                last = min(first + TRIM_EVERY, steps[k])
+                lo, hi = _trim(psi, a, b)
+                reach = RK4_REACH * (last - first)
+                a, b = max(lo - reach, 0), min(hi + reach, n)
+                bound = float(row_bound[a:b].max())
+                if not bound * dt <= RK4_STABLE:
+                    raise IntegrationError(
+                        f"RK4 unstable at t = {t_start + first * dt:.4f} on levels [{a}, {b}): "
+                        f"Gershgorin bound {bound:.4g} of H - E0 times dt = {dt} exceeds 2 sqrt 2"
+                    )
+                deriv = window_deriv(a, b)
+                window = psi[a:b]
+                for i in range(first, last):
+                    window = rk4_step(window, t_start + i * dt, dt, deriv)
+                psi[a:b] = window
+                max_window = max(max_window, b - a)
         else:
-            psi = flat_step(psi, int(steps[k] - steps[k - 1]))
+            lo, hi = _trim(psi, a, b)
+            a, b = flat_step(psi, int(steps[k] - steps[k - 1]), lo, hi)
+            max_window = max(max_window, b - a)
         nrm = np.linalg.norm(psi)
         drift += abs(nrm - 1.0)
         if not drift <= 1e-6:
@@ -261,7 +361,14 @@ def evolve(
         sy2_vals[k] = expectation(sy2, psi)
 
     return AmplifierTrajectory(
-        times=times, sx2=sx2_vals, sy2=sy2_vals, snapshot_times=times[kept], states=states, params=params
+        times=times,
+        sx2=sx2_vals,
+        sy2=sy2_vals,
+        snapshot_times=times[kept],
+        states=states,
+        params=params,
+        max_window=max_window,
+        norm_drift=drift,
     )
 
 

@@ -19,8 +19,8 @@ from scipy.special import gammaln
 OPERATOR_TAGS = ("Sz", "Sx", "Sx2", "Sy2")
 
 
-def _frozen_array(a, dtype=np.float64):
-    out = np.ascontiguousarray(a, dtype=dtype)
+def _frozen_array(a):
+    out = np.ascontiguousarray(a, dtype=np.float64)
     out.setflags(write=False)
     return out
 
@@ -77,18 +77,6 @@ class BandedHermitianOperator:
                 f"(bandwidth+1, dimension) = {(self.bandwidth + 1, self.dimension)}"
             )
         object.__setattr__(self, "bands", _frozen_array(self.bands))
-
-    def densify(self) -> np.ndarray:
-        """Full real matrix form."""
-        n = self.dimension
-        a = np.zeros((n, n))
-        idx = np.arange(n)
-        a[idx, idx] = self.bands[0]
-        for k in range(1, self.bandwidth + 1):
-            u = self.bands[k][: n - k]
-            a[idx[: n - k], idx[k:]] = u
-            a[idx[k:], idx[: n - k]] = u
-        return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply the operator to a vector (real or complex)."""
@@ -208,16 +196,3 @@ def coherent_log_magnitudes(space: DickeSpace, thetas: np.ndarray) -> np.ndarray
     out[north, n] = 0.0
     out[south, 0] = 0.0
     return out
-
-
-def coherent_amplitudes(space: DickeSpace, theta: float, phi: float) -> np.ndarray:
-    """Amplitudes <S,m|theta,phi> = sqrt(C(2S,S+m)) cos^(S+m)(t/2) sin^(S-m)(t/2) e^{-i(S-m)phi}.
-
-    The spin coherent state along (theta, phi), as a read-only complex array.
-    """
-    log_mag = coherent_log_magnitudes(space, np.array([theta]))[0]
-    with np.errstate(under="ignore"):
-        mag = np.exp(log_mag)
-    k = np.arange(space.dimension)
-    amps = mag * np.exp(-1j * (space.n_qubits - k) * phi)
-    return _frozen_array(amps, dtype=complex)

@@ -49,7 +49,10 @@ def _cmd_run(args) -> int:
         for entry in manifest.outputs:
             print(f"wrote {cfg.output.directory}/{entry['path']}")
         for stage in manifest.stages:
-            print(f"  {stage['name']}: {stage['seconds']:.2f} s, peak RSS {stage['peak_rss_mb']:.1f} MB")
+            line = f"  {stage['name']}: {stage['seconds']:.2f} s, peak RSS {stage['peak_rss_mb']:.1f} MB"
+            if "max_window" in stage:
+                line += f", widest window {stage['max_window']} levels, norm drift {stage['norm_drift']:.2e}"
+            print(line)
         total = sum(s["seconds"] for s in manifest.stages)
         print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
     return 0

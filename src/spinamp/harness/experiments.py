@@ -2,7 +2,8 @@
 
 Outputs are CSV files with fixed column schemas (17 significant digits,
 byte-identical across reruns of the same config) plus a manifest.json
-written last, carrying the config echo, per-stage wall times and peak RSS,
+written last, carrying the config echo, per-stage wall times and peak RSS
+(and, for a dynamics stage, the amplifier's widest window and norm drift),
 and SHA-256 digests of every emitted file. SVG emission is optional and
 presentational.
 """
@@ -64,7 +65,9 @@ class RunManifest:
     experiment: str
     version: str
     config_text: str
-    stages: list = field(default_factory=list)  # [{"name":..., "seconds":..., "peak_rss_mb":...}]
+    # [{"name":..., "seconds":..., "peak_rss_mb":...}]; a dynamics stage adds
+    # "max_window" and "norm_drift" from its AmplifierTrajectory
+    stages: list = field(default_factory=list)
     outputs: list = field(default_factory=list)  # [{"path":..., "sha256":...}]
 
     def to_json(self) -> str:
@@ -83,15 +86,17 @@ class _Run:
 
     @contextlib.contextmanager
     def stage(self, name):
+        """Time the block; it may add fields to the stage record it is given."""
         self.current = name
+        extra = {}
         t0 = time.perf_counter()
         try:
-            yield
+            yield extra
         finally:
             seconds = time.perf_counter() - t0
             # the process's peak resident set so far, in KiB on Linux
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            self.records.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb})
+            self.records.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb, **extra})
 
     def csv(self, name, header, rows):
         self.files.append(write_csv(self.out / name, header, rows))
@@ -176,10 +181,13 @@ def _models(cfg: ExperimentConfig, values=None) -> list[LmgParams]:
     return [LmgParams(**{**fields, free[0]: cast(v)}) for v in values]
 
 
-def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, snapshots=()):
-    """Amplifier trajectory of params over the configured grid, keeping the states at snapshots."""
+def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, record: dict, snapshots=()):
+    """Amplifier trajectory of params over the configured grid, keeping the
+    states at snapshots; its widest window and norm drift go into record."""
     grid = cfg.integration
-    return evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots=snapshots)
+    traj = evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots=snapshots)
+    record.update(max_window=traj.max_window, norm_drift=traj.norm_drift)
+    return traj
 
 
 def _fit_row(name, fit):
@@ -221,8 +229,8 @@ def _run_fig2(cfg, run):
         drive = _drive_from_absorber(cfg)
     curves = []
     for params in _models(cfg):
-        with run.stage(f"dynamics-jx={params.jx:g}"):
-            traj = _amplify(cfg, drive, params)
+        with run.stage(f"dynamics-jx={params.jx:g}") as record:
+            traj = _amplify(cfg, drive, params, record)
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
@@ -249,8 +257,8 @@ def _run_fig3(cfg, run):
         drive = _drive_from_absorber(cfg)
     for params in _models(cfg):
         jx = params.jx
-        with run.stage(f"dynamics-jx={jx:g}"):
-            traj = _amplify(cfg, drive, params, FIG3_SNAPSHOTS)
+        with run.stage(f"dynamics-jx={jx:g}") as record:
+            traj = _amplify(cfg, drive, params, record, FIG3_SNAPSHOTS)
         with run.stage(f"qfunction-jx={jx:g}"):
             for t_snap in FIG3_SNAPSHOTS:
                 grid = q_function(traj.state_at(t_snap), traj.params.space)
@@ -342,9 +350,9 @@ def _run_figs3(cfg, run):
         drive = _drive_from_absorber(cfg)
     rows = []
     for params in _models(cfg):
-        with run.stage(f"dynamics-n={params.n_qubits}"):
+        with run.stage(f"dynamics-n={params.n_qubits}") as record:
             # the trajectory keeps no state, only <S_x^2> and <S_y^2> per sample
-            gain = quantum_gain(_amplify(cfg, drive, params), t_arrival=cfg.pulse.t_arrival)
+            gain = quantum_gain(_amplify(cfg, drive, params, record), t_arrival=cfg.pulse.t_arrival)
             rows.append((params.n_qubits, gain.g_max, gain.t_am))
     run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)
     run.chart(

@@ -119,17 +119,6 @@ def assemble_hamiltonian(params: LmgParams) -> BandedHermitianOperator:
     return BandedHermitianOperator(dim, 2, bands)
 
 
-def solvable_line_energies(params: LmgParams) -> np.ndarray:
-    """Analytic spectrum eps*m - (2J/N)[S(S+1) - m^2] + J on the line jx == jy, bx == 0."""
-    if params.jx != params.jy or params.bx != 0.0:
-        raise ValueError("analytic spectrum only exists for jx == jy with bx == 0")
-    space = params.space
-    m = space.m_values()
-    s = params.n_qubits / 2.0
-    j = params.jx
-    return params.epsilon * m - (2.0 * j / params.n_qubits) * (s * (s + 1.0) - m * m) + j
-
-
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
     """Deterministic global sign: first non-negligible component positive."""
     thresh = 1e-12 * np.abs(vec).max()

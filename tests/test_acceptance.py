@@ -27,10 +27,10 @@ from spinamp.lmg_statics import (
     LmgParams,
     correlations,
     order_parameters,
-    solvable_line_energies,
     solve_ground,
 )
 from spinamp.stepping import sample_grid
+from helpers import solvable_line_energies
 from test_absorber import reconstructed_blocks
 
 _T0 = {}

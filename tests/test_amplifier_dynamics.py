@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from spinamp.amplifier_dynamics import (
     quantum_gain,
 )
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
-from spinamp.dicke import DickeSpace, build_collective_operator, coherent_amplitudes, expectation
+from spinamp.dicke import DickeSpace, build_collective_operator, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from spinamp.stepping import IntegrationError, sample_grid
+from spinamp.stepping import IntegrationError, rk4_step, sample_grid
+from helpers import coherent_amplitudes, densify, zero_drive
 
 BIAS = dict(jx=0.675, jy=0.7)
 
@@ -58,7 +60,7 @@ def test_drive_schedule_interpolation_and_extrapolation():
 
 def test_evolve_preconditions(monkeypatch):
     params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
-    drive = DriveSchedule.zero(-1.0, 1.0)
+    drive = zero_drive(-1.0, 1.0)
     with pytest.raises(ValueError, match="dt"):
         evolve(params, drive, -1.0, 1.0, dt=5e-3, sample_every=25)
     with pytest.raises(ValueError, match="t_start"):
@@ -82,7 +84,7 @@ def test_norm_drift_guard_trips_on_nan_in_flat_stretch(monkeypatch):
     # a NaN leading coefficient makes its first stride NaN
     monkeypatch.setattr(amplifier_dynamics, "jv", lambda k, x: np.where(k == 0, np.nan, jv(k, x)))
     with pytest.raises(IntegrationError, match="norm drift .* at t = -0.9750"):
-        evolve(LmgParams(n_qubits=20, **BIAS), DriveSchedule.zero(-1.0, 1.0), -1.0, -0.9, 1e-3, 25)
+        evolve(LmgParams(n_qubits=20, **BIAS), zero_drive(-1.0, 1.0), -1.0, -0.9, 1e-3, 25)
 
 
 def test_flat_drive_start():
@@ -120,7 +122,7 @@ def test_rk4_runs_only_while_the_drive_moves(monkeypatch):
     # a drive flat from its first sample never reaches rk4_step
     rk4_times.clear()
     pe_times.clear()
-    evolve(params, DriveSchedule.zero(-1.0, 1.0), -1.0, 1.0, 1e-3, 25)
+    evolve(params, zero_drive(-1.0, 1.0), -1.0, 1.0, 1e-3, 25)
     assert rk4_times == [] and pe_times == []
 
 
@@ -135,7 +137,7 @@ def test_flat_stretch_matches_dense_expm(n_qubits):
     # 3130 steps: 7 strides of 400, one of 330
     traj = evolve_keeping_all(params, drive, -1.0, 2.13, 1e-3, 400)
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
-    h = assemble_hamiltonian(dataclasses.replace(params, bx=0.6 * params.bx)).densify()
+    h = densify(assemble_hamiltonian(dataclasses.replace(params, bx=0.6 * params.bx)))
     h -= ground.e0 * np.eye(h.shape[0])
     psi0 = ground.ground.astype(complex)
     for t, state in zip(traj.times, traj.states):
@@ -174,10 +176,143 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
     assert abs(g - g_ref) / g_ref < 1e-12
 
 
+def full_space_reference(params, drive, ground, t_start, t_end, dt, every):
+    """<S_x^2> and <S_y^2> from evolve's two stretches stepped on all N + 1
+    levels from ground.ground: RK4 while the drive moves, then
+    exp(-i (H - E0) tau) per stride as a Chebyshev series on H's exact
+    spectral interval."""
+    steps, times = sample_grid(t_start, t_end, dt, every)
+    k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
+    bands = assemble_hamiltonian(params).bands
+    d, v, s = bands[0] - ground.e0, bands[2][:-2], params.space.ladder_coefficients() / 2.0
+
+    def h_times(pe, psi):
+        out = d * psi
+        for band, k in ((2.0 * params.bx * pe * s, 1), (v, 2)):
+            out[:-k] += band * psi[k:]
+            out[k:] += band * psi[:-k]
+        return out
+
+    h_flat = np.stack([d, np.append(2.0 * params.bx * drive.pe[-1] * s, 0.0), np.append(v, [0.0, 0.0])])
+    e_lo, e_hi = scipy.linalg.eigvals_banded(h_flat, lower=True)[[0, -1]]
+    mid, half = (e_hi + e_lo) / 2.0, (e_hi - e_lo) / 2.0
+    sx2, sy2 = (build_collective_operator(params.space, tag) for tag in ("Sx2", "Sy2"))
+    psi = ground.ground.astype(complex)
+    out = [(expectation(sx2, psi), expectation(sy2, psi))]
+    for k in range(1, steps.size):
+        if k <= k_flat:
+            for i in range(steps[k - 1], steps[k]):
+                psi = rk4_step(psi, t_start + i * dt, dt, lambda t, y: -1j * h_times(drive.pe_at(t), y))
+        else:
+            x = half * (steps[k] - steps[k - 1]) * dt
+            prev, cur = psi, (h_times(drive.pe[-1], psi) - mid * psi) / half
+            new = jv(0, x) * prev - 2j * jv(1, x) * cur
+            for j in range(2, int(2 * x) + 64):
+                prev, cur = cur, 2.0 * (h_times(drive.pe[-1], cur) - mid * cur) / half - prev
+                new += 2.0 * (-1j) ** j * jv(j, x) * cur
+            psi = np.exp(-1j * mid * (steps[k] - steps[k - 1]) * dt) * new
+        psi = psi / np.linalg.norm(psi)
+        out.append((expectation(sx2, psi), expectation(sy2, psi)))
+    return np.array(out).T
+
+
+def test_window_matches_the_full_space(registry_drive, monkeypatch):
+    """At N = 1600 over -5..10, both stretches (t_flat = 7.8): evolve on its
+    window against steps on the whole space, sx2, sy2 and g_max within 1e-13
+    relative; every RK4 step ran on fewer than half of the levels."""
+    widths = []
+    rk4 = amplifier_dynamics.rk4_step
+
+    def recording_rk4(psi, t, dt, deriv):
+        widths.append(psi.size)
+        return rk4(psi, t, dt, deriv)
+
+    monkeypatch.setattr(amplifier_dynamics, "rk4_step", recording_rk4)
+    params = LmgParams(n_qubits=1600, bx=0.01, **BIAS)
+    traj = evolve(params, registry_drive, -5.0, 10.0, 1e-3, 25)
+    assert traj.times[-1] > flat_drive_start(registry_drive) + 1.0
+    ground = solve_ground(dataclasses.replace(params, bx=0.0))
+    sx2, sy2 = full_space_reference(params, registry_drive, ground, -5.0, 10.0, 1e-3, 25)
+    assert np.abs(traj.sx2 / sx2 - 1.0).max() < 1e-13
+    assert np.abs(traj.sy2 / sy2 - 1.0).max() < 1e-13
+    assert abs(traj.sx2.max() - sx2.max()) / sx2.max() < 1e-13  # g_max, over the same sx2[0]
+    assert max(widths) < 1601 / 2 and traj.max_window < 1601 / 2
+    assert 0.0 < traj.norm_drift < 1e-12
+
+
+@pytest.mark.parametrize(
+    "pe, exact",
+    [([0.0, 1.0], True), ([1.0, 1.0], False)],
+    ids=["rk4", "chebyshev"],
+)
+def test_window_reach_covers_a_state_with_hard_edges(monkeypatch, pe, exact):
+    """Started from one Dicke level, the state spreads over the levels next
+    to it with amplitudes far above SUPPORT_TAIL; on its window it must still
+    match the whole space: bit for bit under RK4 (a drive that moves past
+    t_end), within 1e-13 relative under the Chebyshev series (a constant
+    drive)."""
+    params = LmgParams(n_qubits=400, bx=0.01, **BIAS)
+    level = np.zeros(401, dtype=complex)
+    level[200] = 1.0
+    # the level's own energy as E0, so RK4's error stays within the drift guard
+    start = SimpleNamespace(e0=assemble_hamiltonian(params).bands[0][200], ground=level)
+    monkeypatch.setattr(amplifier_dynamics, "solve_ground", lambda p: start)
+    drive = DriveSchedule(times=np.array([-0.1, 0.2]), pe=np.array(pe))
+    traj = evolve(params, drive, -0.1, 0.1, 1e-3, 25)
+    sx2, sy2 = full_space_reference(params, drive, start, -0.1, 0.1, 1e-3, 25)
+    if exact:
+        assert np.array_equal(traj.sx2, sx2) and np.array_equal(traj.sy2, sy2)
+    assert np.abs(traj.sx2 / sx2 - 1.0).max() < 1e-13
+    assert np.abs(traj.sy2 / sy2 - 1.0).max() < 1e-13
+    assert traj.max_window < 401
+
+
+def test_window_runs_where_full_space_rk4_is_unstable(registry_drive):
+    """At N = 3200 and dt = 1e-3, RK4 on all levels exceeds its stability
+    bound; on the window evolve completes, and sx2 agrees with dt = 5e-4
+    within C11's 1e-6."""
+    params = LmgParams(n_qubits=3200, bx=0.01, **BIAS)
+    a = evolve(params, registry_drive, -5.0, 0.0, 1e-3, 25)
+    b = evolve(params, registry_drive, -5.0, 0.0, 5e-4, 50)
+    assert np.array_equal(a.times, b.times)
+    assert np.abs(a.sx2 / b.sx2 - 1.0).max() < 1e-6
+    assert a.max_window < 3201 / 2
+
+
+def test_stability_guard_fires_on_the_whole_space(registry_drive, monkeypatch):
+    """With the window forced to every level, the guard refuses N = 3200 at
+    dt = 1e-3 before RK4 takes a step."""
+    outputs = []
+    rk4 = amplifier_dynamics.rk4_step
+
+    def recording_rk4(psi, t, dt, deriv):
+        outputs.append(rk4(psi, t, dt, deriv))
+        return outputs[-1]
+
+    monkeypatch.setattr(amplifier_dynamics, "rk4_step", recording_rk4)
+    monkeypatch.setattr(amplifier_dynamics, "_support", lambda psi: (0, psi.size))
+    params = LmgParams(n_qubits=3200, bx=0.01, **BIAS)
+    message = r"RK4 unstable at t = -5\.0000 on levels \[0, 3201\): Gershgorin bound [0-9.]+ .* exceeds 2 sqrt 2"
+    with pytest.raises(IntegrationError, match=message):
+        evolve(params, registry_drive, -5.0, 0.0, 1e-3, 25)
+    assert all(np.all(np.isfinite(y)) for y in outputs)
+
+
+def test_support_trims_only_dust_and_keeps_non_finite_entries():
+    psi = np.array([1e-40, 1e-31, 0.0, 0.6, 0.8, 1e-31, 1e-31, 1e-40], dtype=complex)
+    assert amplifier_dynamics._support(psi) == (3, 5)
+    # the cut norm may reach SUPPORT_TAIL but not pass it
+    assert amplifier_dynamics._support(np.array([1e-30, 1.0, 1e-30 + 1e-45j])) == (1, 2)
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        psi = np.array([0.0, bad, 0.0, 1.0, 0.0, 0.0], dtype=complex)
+        assert amplifier_dynamics._support(psi) == (1, 4)
+        assert amplifier_dynamics._support(psi[::-1]) == (2, 5)
+
+
 def test_ground_state_is_stationary_without_drive():
     # params.bx is scaled by P_e = 0, so the zero-field ground state stays put
     params = LmgParams(n_qubits=60, bx=0.01, **BIAS)
-    traj = evolve_keeping_all(params, DriveSchedule.zero(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, zero_drive(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
     assert np.abs(traj.sx2 - traj.sx2[0]).max() < 1e-8
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
@@ -210,6 +345,8 @@ def test_quantum_gain_definition():
         snapshot_times=times,
         states=np.zeros((5, 2), dtype=complex),
         params=LmgParams(n_qubits=1, jx=0.0, jy=0.0),
+        max_window=2,
+        norm_drift=0.0,
     )
     gain = quantum_gain(traj, t_arrival=1.0)
     assert gain.gain[0] == 1.0
@@ -238,17 +375,17 @@ def test_last_partial_sample():
 
 def test_state_at_lookup():
     params = LmgParams(n_qubits=12, **BIAS)
-    traj = evolve_keeping_all(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
+    traj = evolve_keeping_all(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
     assert traj.state_at(0.1).shape == (13,)
     with pytest.raises(ValueError):
         traj.state_at(0.1234567)
     # a stored sample whose state was not kept, and a run that kept none
-    some = evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100, snapshots=(0.2,))
+    some = evolve(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100, snapshots=(0.2,))
     assert np.array_equal(some.state_at(0.2), traj.state_at(0.2))
     with pytest.raises(ValueError, match=r"no state kept at t = 0.1; kept times are \[0.2"):
         some.state_at(0.1)
     with pytest.raises(ValueError, match="no state kept at t = 0.2"):
-        evolve(params, DriveSchedule.zero(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100).state_at(0.2)
+        evolve(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100).state_at(0.2)
 
 
 def test_run_keeping_no_state_needs_no_per_sample_memory():

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from spinamp.dicke import (
     DickeSpace,
     build_collective_operator,
-    coherent_amplitudes,
     expectation,
 )
 from spinamp.harness.oracle import collective_operators, symmetric_sector_basis
+from helpers import coherent_amplitudes, densify
 
 
 def oracle_sy(n):
@@ -39,12 +39,12 @@ def test_space_rejects_bad_n():
 
 
 def test_sz_single_spin():
-    sz = build_collective_operator(DickeSpace(1), "Sz").densify()
+    sz = densify(build_collective_operator(DickeSpace(1), "Sz"))
     assert_allclose(sz, np.diag([-0.5, 0.5]))
 
 
 def test_sx2_diagonal_identity_n2():
-    sx2 = build_collective_operator(DickeSpace(2), "Sx2").densify()
+    sx2 = densify(build_collective_operator(DickeSpace(2), "Sx2"))
     # <S,m|S_x^2|S,m> = [S(S+1) - m^2]/2; S=1, m=-1 gives 1/2
     assert_allclose(sx2[0, 0], 0.5, atol=1e-15)
     assert_allclose(np.diag(sx2), [0.5, 1.0, 0.5], atol=1e-15)
@@ -59,23 +59,23 @@ def test_unknown_tag_rejected():
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_squares_match_matrix_product(n):
     sp = DickeSpace(n)
-    sx = build_collective_operator(sp, "Sx").densify()
+    sx = densify(build_collective_operator(sp, "Sx"))
     sy = oracle_sy(n)
-    assert np.abs(sx @ sx - build_collective_operator(sp, "Sx2").densify()).max() < 1e-12
-    assert np.abs(sy @ sy - build_collective_operator(sp, "Sy2").densify()).max() < 1e-12
+    assert np.abs(sx @ sx - densify(build_collective_operator(sp, "Sx2"))).max() < 1e-12
+    assert np.abs(sy @ sy - densify(build_collective_operator(sp, "Sy2"))).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 10])
 def test_commutator_and_casimir(n):
     sp = DickeSpace(n)
-    sx = build_collective_operator(sp, "Sx").densify()
+    sx = densify(build_collective_operator(sp, "Sx"))
     sy = oracle_sy(n)
-    sz = build_collective_operator(sp, "Sz").densify()
+    sz = densify(build_collective_operator(sp, "Sz"))
     assert np.abs(sx @ sy - sy @ sx - 1j * sz).max() < 1e-12
     s = n / 2.0
     casimir = (
-        build_collective_operator(sp, "Sx2").densify()
-        + build_collective_operator(sp, "Sy2").densify()
+        densify(build_collective_operator(sp, "Sx2"))
+        + densify(build_collective_operator(sp, "Sy2"))
         + sz @ sz
     )
     assert np.abs(casimir - s * (s + 1.0) * np.eye(n + 1)).max() < 1e-10
@@ -94,7 +94,7 @@ def test_all_builders_match_full_space_symmetric_sector(n):
     ]
     for tag, full in pairs:
         restricted = basis.T @ full @ basis
-        assert np.abs(build_collective_operator(sp, tag).densify() - restricted).max() < 1e-12, tag
+        assert np.abs(densify(build_collective_operator(sp, tag)) - restricted).max() < 1e-12, tag
 
 
 def test_expectation_lowest_weight_values():
@@ -127,7 +127,7 @@ def test_banded_matvec_matches_dense():
     v = rng.normal(size=10) + 1j * rng.normal(size=10)
     for tag in ("Sz", "Sx", "Sx2", "Sy2"):
         op = build_collective_operator(sp, tag)
-        assert_allclose(op.matvec(v), op.densify() @ v, atol=1e-12)
+        assert_allclose(op.matvec(v), densify(op) @ v, atol=1e-12)
 
 
 def test_coherent_poles_are_exact():

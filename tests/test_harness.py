@@ -429,7 +429,8 @@ def test_oracle_free_pair():
 
 
 def test_oracle_matches_solvable_line():
-    from spinamp.lmg_statics import LmgParams, solvable_line_energies
+    from helpers import solvable_line_energies
+    from spinamp.lmg_statics import LmgParams
 
     result = brute_force_statics(8, 0.7, 0.7)
     energies = solvable_line_energies(LmgParams(n_qubits=8, jx=0.7, jy=0.7))
@@ -497,6 +498,33 @@ def test_manifest_records_peak_rss_of_every_stage(tmp_path, capsys):
     for s in stages:
         assert f"  {s['name']}: {s['seconds']:.2f} s, peak RSS {s['peak_rss_mb']:.1f} MB\n" in out
 
+
+
+@pytest.mark.parametrize(
+    "name, text, dimensions",
+    [
+        ("fig2_gain_vs_bias", TINY["fig2_gain_vs_bias"], {"dynamics-jx=0.5": 25, "dynamics-jx=0.675": 25}),
+        # one bias: each fig3 bias writes four 65 341-row Q-function CSVs
+        ("fig3_qfunction", "[model]\nn_qubits = 24\n[sweep]\nlo = 0.675\nhi = 0.675\npoints = 1\n",
+         {"dynamics-jx=0.675": 25}),
+        ("figS3_gain_scaling", TINY["figS3_gain_scaling"], {"dynamics-n=20": 21, "dynamics-n=40": 41}),
+    ],
+    ids=["fig2", "fig3", "figS3"],
+)
+def test_dynamics_stages_record_window_and_norm_drift(tmp_path, capsys, name, text, dimensions):
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(text)
+    assert main(["run", name, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 0
+    stages = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    dynamics = [s for s in stages if s["name"].startswith("dynamics-")]
+    assert {s["name"] for s in dynamics} == set(dimensions)
+    out = capsys.readouterr().out
+    for s in dynamics:
+        assert 0 < s["max_window"] <= dimensions[s["name"]]
+        assert math.isfinite(s["norm_drift"]) and 0.0 <= s["norm_drift"] < 1e-6
+        line = f"  {s['name']}: {s['seconds']:.2f} s, peak RSS {s['peak_rss_mb']:.1f} MB, "
+        assert f"{line}widest window {s['max_window']} levels, norm drift {s['norm_drift']:.2e}\n" in out
+    assert all("max_window" not in s for s in stages if s not in dynamics)
 
 def test_cli_run_rejects_config_for_several(tmp_path, capsys):
     cfg_file = tmp_path / "c.ini"

@@ -12,13 +12,13 @@ from spinamp import lmg_statics
 from spinamp.criticality import field_sweep, susceptibility_at
 from spinamp.dicke import build_collective_operator, expectation
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, symmetric_sector_basis
+from helpers import densify, solvable_line_energies
 from spinamp.lmg_statics import (
     EigensolverError,
     LmgParams,
     assemble_hamiltonian,
     correlations,
     order_parameters,
-    solvable_line_energies,
     solve_ground,
 )
 
@@ -38,7 +38,7 @@ def test_free_spins():
     res = solve_ground(LmgParams(n_qubits=4, jx=0.0, jy=0.0))
     assert_allclose(res.e0, -2.0, atol=1e-13)
     assert_allclose(res.gap, 1.0, atol=1e-13)
-    h = assemble_hamiltonian(LmgParams(n_qubits=4, jx=0.0, jy=0.0)).densify()
+    h = densify(assemble_hamiltonian(LmgParams(n_qubits=4, jx=0.0, jy=0.0)))
     assert_allclose(h, np.diag(np.arange(5) - 2.0), atol=1e-14)
 
 
@@ -52,7 +52,7 @@ def test_free_spins_large():
 
 def test_transition_line_hamiltonian_is_diagonal():
     params = LmgParams(n_qubits=40, jx=0.7, jy=0.7)
-    h = assemble_hamiltonian(params).densify()
+    h = densify(assemble_hamiltonian(params))
     assert np.abs(h - np.diag(np.diag(h))).max() < 1e-14
     assert_allclose(np.diag(h), solvable_line_energies(params), atol=1e-13)
 
@@ -113,7 +113,7 @@ def test_hamiltonian_matches_full_space_sector(n):
     params = LmgParams(n_qubits=n, bx=0.013, **TEST_POINT)
     basis = symmetric_sector_basis(n)
     full = brute_force_hamiltonian(n, params.jx, params.jy, params.bx)
-    assert np.abs(basis.T @ full @ basis - assemble_hamiltonian(params).densify()).max() < 1e-12
+    assert np.abs(basis.T @ full @ basis - densify(assemble_hamiltonian(params))).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
@@ -193,7 +193,7 @@ def test_single_path_matches_dense_eigh():
                 params = LmgParams(n_qubits=n, bx=bx, **point)
                 res = solve_ground(params)
                 h = assemble_hamiltonian(params)
-                w, v = np.linalg.eigh(h.densify())
+                w, v = np.linalg.eigh(densify(h))
                 tol = 1e-11 * max(h.norm_upper_bound(), 1.0)
                 assert abs(res.e0 - w[0]) <= tol, (n, point, bx)
                 assert abs(res.e1 - w[1]) <= tol, (n, point, bx)
@@ -332,7 +332,7 @@ def test_factored_shifts_lie_below_the_ground_energy(n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scipy.linalg.lapack, "dpbtrf", recording_factor)
                 res = solve_ground(params)
-            e0 = np.linalg.eigvalsh(h.densify())[0]
+            e0 = np.linalg.eigvalsh(densify(h))[0]
             assert shifts and max(shifts) < e0, (n, point, bx)
             assert abs(res.e0 - e0) <= 1e-11 * h.norm_upper_bound()
 
