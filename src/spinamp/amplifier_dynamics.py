@@ -2,7 +2,8 @@
 
 After transduction the amplifier experiences an effective in-plane field
 P_e(t) * B_x, i.e. H(t) = H_Am + 2 P_e(t) B_x S_x, with B_x the LmgParams
-field and P_e(t) the DriveSchedule. The evolution is strictly
+field and P_e(t) the DriveSchedule: H at drive P_e is assemble_hamiltonian
+of the LmgParams with B_x scaled by P_e. The evolution is strictly
 unitary (pure-state propagation; the amplifier dissipator is absent) on the
 banded Hamiltonian: fixed-step RK4 while the drive moves, and once P_e(t)
 has taken its final value, one Chebyshev series for exp(-i H tau) per
@@ -32,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv
 
-from .dicke import DickeSpace, build_collective_operator, coherent_log_magnitudes, expectation
+from .dicke import (
+    BandedHermitianOperator,
+    DickeSpace,
+    build_collective_operator,
+    coherent_log_magnitudes,
+    expectation,
+)
 from .lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
 from .stepping import IntegrationError, rk4_step, sample_grid, sample_index
 
@@ -153,27 +160,16 @@ def _trim(psi: np.ndarray, a: int, b: int) -> tuple[int, int]:
     return a + lo, a + hi
 
 
-def _row_radius(off1: np.ndarray, off2: np.ndarray) -> np.ndarray:
-    """Per row, the sum of |off-diagonal| of the symmetric pentadiagonal
-    matrix with bands off1 (length n - 1) and off2 (length n - 2)."""
-    n = off1.size + 1
-    radius = np.zeros(n)
-    for k, band in ((1, np.abs(off1)), (2, np.abs(off2))):
-        radius[: n - k] += band
-        radius[k:] += band
-    return radius
+def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
+    """step(psi, n_steps, lo, hi) = exp(-i (H - e0) n_steps dt) psi for the
+    real symmetric pentadiagonal operator h, by a Chebyshev series with
+    Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)).
 
-
-def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, dt: float):
-    """step(psi, n_steps, lo, hi) = exp(-i H n_steps dt) psi for the real
-    symmetric pentadiagonal H with bands (diag, off1, off2), by a Chebyshev
-    series with Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)).
-
-    H is mapped onto [-1, 1] through its Gershgorin interval, as in
-    BandedHermitianOperator.norm_upper_bound, so every T_k(H~) psi stays
-    bounded by |psi|. With x = half-width * tau,
-    exp(-i H tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
+    H - e0 is mapped onto [-1, 1] through its Gershgorin interval, from
+    h.row_radius() as in BandedHermitianOperator.norm_upper_bound, so every
+    T_k(H~) psi stays bounded by |psi|. With x = half-width * tau,
+    exp(-i (H - e0) tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
     cut at SERIES_CUT; the coefficients are kept per distinct n_steps.
 
     psi must be zero outside [lo, hi). Each term widens the support by
@@ -182,14 +178,15 @@ def _chebyshev_propagator(diag: np.ndarray, off1: np.ndarray, off2: np.ndarray, 
     result back into psi and returns the slice as (a, b). The scratch is a
     few vectors of the slice's length.
     """
-    n = diag.size
-    radius = _row_radius(off1, off2)
+    n = h.dimension
+    diag = h.bands[0] - e0
+    radius = h.row_radius()
     lo, hi = float((diag - radius).min()), float((diag + radius).max())
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
     # twice H~ = (H - mid) / half, complex so no product casts its operands
     d2 = (2.0 / half * (diag - mid)).astype(complex)
-    u2 = (2.0 / half * off1).astype(complex)
-    v2 = (2.0 / half * off2).astype(complex)
+    u2 = (2.0 / half * h.bands[1][: n - 1]).astype(complex)
+    v2 = (2.0 / half * h.bands[2][: n - 2]).astype(complex)
 
     def twice_scaled(psi, prev, d, u, v):
         """2 H~ psi - prev on a slice whose bands are (d, u, v)."""
@@ -246,7 +243,11 @@ def evolve(
     """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
 
     params is the whole amplifier: the run starts in the ground state of
-    params at bx = 0, and the drive scales params.bx by P_e(t). dt must
+    params at bx = 0, and the drive scales params.bx by P_e(t), so H at
+    drive P_e is assemble_hamiltonian of params with bx * P_e. That H at
+    zero drive gives the RK4 derivative its diagonal and pair bands, at the
+    largest drive sample the RK4 guard's bound, and at the final one the
+    operator _chebyshev_propagator exponentiates. dt must
     pass check_step. A sample is stored on the grid of stepping.sample_grid,
     written in place into arrays sized before the first step: <S_x^2> and
     <S_y^2> at every sample, and the state only at the sample times listed
@@ -258,17 +259,17 @@ def evolve(
     Up to k_flat, the first stored sample at or after flat_drive_start(drive),
     evolve takes one rk4_step per step of dt, each with four pe_at calls.
     After k_flat the Hamiltonian is constant, and each stride between stored
-    samples is one exp(-i H tau) from _chebyshev_propagator; the drive is not
-    looked up again.
+    samples is one exp(-i (H - E0) tau) from _chebyshev_propagator; the drive
+    is not looked up again.
 
     Every TRIM_EVERY RK4 steps, and before each Chebyshev stride, _trim cuts
     the state's tails of norm at most SUPPORT_TAIL to exactly 0, and the
     steps run on the levels left plus their reach: RK4_REACH per RK4 step,
     CHEBYSHEV_REACH per Chebyshev term. A state that fills the space runs on
     the whole space. Before each group of RK4 steps, dt times the largest
-    Gershgorin row bound of H - E0 on the slice, with P_e at its largest
-    sample, must stay within RK4_STABLE; otherwise IntegrationError names
-    the time, the slice and the bound. On both stretches norm drift
+    Gershgorin row bound |H_mm - E0| + H.row_radius() on the slice, with
+    P_e at its largest sample, must stay within RK4_STABLE; otherwise
+    IntegrationError names the time, the slice and the bound. On both stretches norm drift
     accumulated across samples must stay below 1e-6 (states are
     renormalized at sample points), otherwise IntegrationError names the
     time.
@@ -282,18 +283,24 @@ def evolve(
 
     space = params.space
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
-    h = assemble_hamiltonian(params)  # its field band is unused: the drive scales B_x below
+
+    def driven(pe):
+        """H at drive pe: the amplifier with its field B_x scaled by pe."""
+        return assemble_hamiltonian(dataclasses.replace(params, bx=params.bx * float(pe)))
+
+    h = driven(0.0)
     n = h.dimension
     # ground-energy shift; pure global phase
     b0 = h.bands[0] - ground.e0
     b2 = h.bands[2][: n - 2]
-    sx_band = space.ladder_coefficients() / 2.0  # first band of S_x
+    sx_band = build_collective_operator(space, "Sx").bands[1][: n - 1]  # deriv scales it by 2 B_x P_e(t)
     two_bx = 2.0 * params.bx
     # -i H folded into the bands: multiplying by -1j only swaps and negates
     # parts, so each product is the one of -1j * (H psi) to the last bit
     mb0, mb2, msx = -1j * b0, -1j * b2, -1j * sx_band
     # Gershgorin row bounds of H - E0 at the largest drive sample
-    row_bound = np.abs(b0) + _row_radius(abs(two_bx * drive.pe.max()) * sx_band, b2)
+    h_max = driven(drive.pe.max())
+    row_bound = np.abs(b0) + h_max.row_radius()
 
     def window_deriv(a, b):
         """-i H(t) y for y on the levels [a, b)."""
@@ -311,7 +318,7 @@ def evolve(
 
         return deriv
 
-    flat_step = _chebyshev_propagator(b0, (two_bx * drive.pe[-1]) * sx_band, b2, dt)
+    flat_step = _chebyshev_propagator(driven(drive.pe[-1]), ground.e0, dt)
 
     sx2 = build_collective_operator(space, "Sx2")
     sy2 = build_collective_operator(space, "Sy2")
@@ -395,10 +402,6 @@ class QFunctionGrid:
     theta: np.ndarray
     phi: np.ndarray
     values: np.ndarray
-
-    def norm_integral(self) -> float:
-        inner = np.trapezoid(self.values * np.sin(self.theta)[:, None], self.phi, axis=1)
-        return float(np.trapezoid(inner, self.theta))
 
     def azimuthal_marginal(self) -> np.ndarray:
         """integral Q sin(theta) d(theta) on the phi grid."""

@@ -90,16 +90,19 @@ class BandedHermitianOperator:
             y[k:] += u * x[: n - k]
         return y
 
+    def row_radius(self) -> np.ndarray:
+        """Gershgorin radii: per row, the sum of |off-diagonal entries|."""
+        n = self.dimension
+        radius = np.zeros(n)
+        for k in range(1, self.bandwidth + 1):
+            u = np.abs(self.bands[k][: n - k])
+            radius[: n - k] += u
+            radius[k:] += u
+        return radius
+
     def norm_upper_bound(self) -> float:
         """Infinity norm computed from the stored bands."""
-        n = self.dimension
-        mags = np.abs(self.bands)
-        row = mags[0].copy()
-        for k in range(1, self.bandwidth + 1):
-            u = mags[k][: n - k]
-            row[: n - k] += u
-            row[k:] += u
-        return float(row.max())
+        return float((np.abs(self.bands[0]) + self.row_radius()).max())
 
     def scipy_upper_bands(self) -> np.ndarray:
         """LAPACK ``ab`` upper-form storage, as the banded Cholesky ``dpbtrf`` takes it.

@@ -60,8 +60,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle(args) -> int:
     try:
-        ob = brute_force_statics(args.n, args.jx, args.jy, args.bx)
         params = LmgParams(n_qubits=args.n, jx=args.jx, jy=args.jy, bx=args.bx)
+        ob = brute_force_statics(args.n, args.jx, args.jy, args.bx)
         res = solve_ground(params)
         ops = order_parameters(res)
         corr = correlations(res)

@@ -500,7 +500,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     if entry.check is not None:
         entry.check(cfg)
     out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ExperimentError("output", f"cannot make output directory {out}: {err}") from err
     run = _Run(out, cfg.output.emit_svg)
     try:
         entry.runner(cfg, run)

@@ -3,7 +3,9 @@
 The Hamiltonian is rebuilt directly from its Pauli terms on all 2^N states
 (no pair-sum identity, no Dicke basis) and dense-diagonalized. Observables
 are then computed from the collective operators sum_j s_j^a / 2 acting on
-the full space.
+the full space. Both are built by one bit rule: site j is the bit 2^(N-1-j)
+of the state index, set for spin down, and each Pauli term is a signed
+permutation of the basis states, added in O(2^N) per term.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ import scipy.linalg
 
 MAX_ORACLE_QUBITS = 12  # 4096-dim dense; cost guard
 
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-# i*sigma_y is real; sigma_y^(i) sigma_y^(j) = -(i sigma_y)_i (i sigma_y)_j
-_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 class OracleStatics(NamedTuple):
     e0: float
@@ -30,22 +27,16 @@ class OracleStatics(NamedTuple):
     c_xxyy: float
 
 
-def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    return np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
-
-
 def brute_force_hamiltonian(n_qubits: int, jx: float, jy: float, bx: float, epsilon: float = 1.0) -> np.ndarray:
     """H = (eps/2) sum s_z - (1/N) sum_{i<j} (J_x s^x s^x + J_y s^y s^y) + B_x sum s^x.
 
-    Each Pauli term is a signed permutation of the basis states, added in
-    O(2^N) rather than as a dense Kronecker product. Site j is the bit
-    2^(N-1-j) of the state index, set for spin down, as in the Kronecker
-    order of collective_operators: s^z_j is the sign +1 / -1 of the bit
+    Each Pauli term is a signed permutation of the basis states, by the bit
+    rule of collective_operators: s^z_j is the sign +1 / -1 of the bit
     clear / set, s^x_j flips the bit, and s^x_i s^x_j flips both bits.
     s^y_i s^y_j = -(i s^y)_i (i s^y)_j flips both bits too, with sign -1
     where the two bits are equal and +1 where they differ. The terms are
-    added in the order of the Kronecker sum, so the matrix is the same to
-    the last bit.
+    added in the order of the Kronecker sum over sites and pairs, so the
+    matrix equals that sum to the last bit.
     """
     if n_qubits > MAX_ORACLE_QUBITS:
         raise ValueError(f"oracle capped at N = {MAX_ORACLE_QUBITS} (got {n_qubits})")
@@ -68,30 +59,26 @@ def brute_force_hamiltonian(n_qubits: int, jx: float, jy: float, bx: float, epsi
 
 
 def collective_operators(n_qubits: int):
-    """(S_x, iS_y_real, S_z) on the full space; S_y = -i * (iS_y_real)."""
+    """(S_x, iS_y_real, S_z) on the full space; S_y = -i * (iS_y_real).
+
+    Per site, s^z_j / 2 adds +1/2 / -1/2 on the diagonal where the bit is
+    clear / set, s^x_j / 2 adds 1/2 from each state to the one with the bit
+    flipped, and (i s^y)_j / 2 = [[0, 1], [-1, 0]] / 2 in the order (up,
+    down) adds +1/2 from a set to a clear bit and -1/2 the other way. Every
+    entry is a sum of halves, so it is exact.
+    """
     n = n_qubits
-    dim = 2**n
-    sx = np.zeros((dim, dim))
-    isy = np.zeros((dim, dim))
-    sz = np.zeros((dim, dim))
+    states = np.arange(2**n)
+    sx = np.zeros((states.size, states.size))
+    isy = np.zeros((states.size, states.size))
+    sz = np.zeros((states.size, states.size))
     for j in range(n):
-        sx += _site_operator(_SX, j, n) / 2.0
-        isy += _site_operator(_ISY, j, n) / 2.0
-        sz += _site_operator(_SZ, j, n) / 2.0
+        bit = 1 << (n - 1 - j)
+        down = (states & bit) != 0
+        sx[states ^ bit, states] += 0.5
+        isy[states ^ bit, states] += np.where(down, 0.5, -0.5)
+        sz[states, states] += np.where(down, -0.5, 0.5)
     return sx, isy, sz
-
-
-def symmetric_sector_basis(n_qubits: int) -> np.ndarray:
-    """Columns are the normalized Dicke states |S, m>, m ascending, in the
-    full 2^N basis (bit set = spin down)."""
-    n = n_qubits
-    dim = 2**n
-    basis = np.zeros((dim, n + 1))
-    n_down = np.array([bin(b).count("1") for b in range(dim)])
-    for k in range(n + 1):  # k = S + m, i.e. number of up spins
-        rows = np.nonzero(n_down == n - k)[0]
-        basis[rows, k] = 1.0 / np.sqrt(rows.size)
-    return basis
 
 
 def brute_force_statics(

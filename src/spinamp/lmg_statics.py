@@ -253,12 +253,7 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
     n = h.dimension
     h_norm = max(h.norm_upper_bound(), 1.0)
     margin = _SHIFT_MARGIN * h_norm
-    radius = np.zeros(n)
-    for k in range(1, h.bandwidth + 1):
-        band = np.abs(h.bands[k][: n - k])
-        radius[k:] += band
-        radius[: n - k] += band
-    sigma = float(np.min(h.bands[0] - radius)) - margin
+    sigma = float(np.min(h.bands[0] - h.row_radius())) - margin
     factor = _factor(h, sigma)
     if factor is None:
         raise EigensolverError(

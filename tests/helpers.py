@@ -1,10 +1,12 @@
 """Constructions only the tests use: a zero drive, dense matrices, coherent
-states, the analytic J_x = J_y spectrum and a pulse's norm on a grid."""
+states, the analytic J_x = J_y spectrum, a pulse's norm on a grid, a
+Q-function's norm, and the full-space Dicke basis and Kronecker-sum
+collective operators the 2^N oracle is checked against."""
 
 import numpy as np
 
 from spinamp.absorber import PulseEnvelope
-from spinamp.amplifier_dynamics import DriveSchedule
+from spinamp.amplifier_dynamics import DriveSchedule, QFunctionGrid
 from spinamp.dicke import BandedHermitianOperator, DickeSpace, coherent_log_magnitudes
 from spinamp.lmg_statics import LmgParams
 
@@ -54,3 +56,47 @@ def solvable_line_energies(params: LmgParams) -> np.ndarray:
 def norm_on_grid(pulse: PulseEnvelope, times: np.ndarray) -> float:
     amp = pulse.amplitude(times)
     return float(np.trapezoid(amp * amp, times))
+
+
+def q_norm_integral(grid: QFunctionGrid) -> float:
+    """integral Q sin(theta) d(theta) d(phi) by the trapezoidal rule; 1 for a normalized state."""
+    inner = np.trapezoid(grid.values * np.sin(grid.theta)[:, None], grid.phi, axis=1)
+    return float(np.trapezoid(inner, grid.theta))
+
+
+def symmetric_sector_basis(n_qubits: int) -> np.ndarray:
+    """Columns are the normalized Dicke states |S, m>, m ascending, in the
+    full 2^N basis (bit set = spin down)."""
+    n = n_qubits
+    dim = 2**n
+    basis = np.zeros((dim, n + 1))
+    n_down = np.array([bin(b).count("1") for b in range(dim)])
+    for k in range(n + 1):  # k = S + m, i.e. number of up spins
+        rows = np.nonzero(n_down == n - k)[0]
+        basis[rows, k] = 1.0 / np.sqrt(rows.size)
+    return basis
+
+
+_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+# i*sigma_y is real; sigma_y^(i) sigma_y^(j) = -(i sigma_y)_i (i sigma_y)_j
+_ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    return np.kron(np.eye(2**site), np.kron(op, np.eye(2 ** (n - 1 - site))))
+
+
+def kronecker_collective_operators(n_qubits: int):
+    """(S_x, iS_y_real, S_z) on the full space as sums of dense Kronecker
+    products, site 0 the most significant factor; S_y = -i * (iS_y_real)."""
+    n = n_qubits
+    dim = 2**n
+    sx = np.zeros((dim, dim))
+    isy = np.zeros((dim, dim))
+    sz = np.zeros((dim, dim))
+    for j in range(n):
+        sx += _site_operator(_SX, j, n) / 2.0
+        isy += _site_operator(_ISY, j, n) / 2.0
+        sz += _site_operator(_SZ, j, n) / 2.0
+    return sx, isy, sz

@@ -30,7 +30,7 @@ from spinamp.lmg_statics import (
     solve_ground,
 )
 from spinamp.stepping import sample_grid
-from helpers import solvable_line_energies
+from helpers import q_norm_integral, solvable_line_energies
 from test_absorber import reconstructed_blocks
 
 _T0 = {}
@@ -314,7 +314,7 @@ def test_c09_q_function_rotation(critical_trajectory):
     after = q_function(critical_trajectory.state_at(18.0), space)
     yz_before = azimuthal_plane_mass(before, "yz")
     xz_after = azimuthal_plane_mass(after, "xz")
-    norm_ok = abs(before.norm_integral() - 1.0) < 1e-3 and abs(after.norm_integral() - 1.0) < 1e-3
+    norm_ok = abs(q_norm_integral(before) - 1.0) < 1e-3 and abs(q_norm_integral(after) - 1.0) < 1e-3
     ok = yz_before >= 0.80 and xz_after >= 0.80 and norm_ok
     assert _report(
         "C9 (Q-function rotation)",

@@ -21,7 +21,7 @@ from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
 from spinamp.stepping import IntegrationError, rk4_step, sample_grid
-from helpers import coherent_amplitudes, densify, zero_drive
+from helpers import coherent_amplitudes, densify, q_norm_integral, zero_drive
 
 BIAS = dict(jx=0.675, jy=0.7)
 
@@ -422,7 +422,7 @@ def test_q_function_pole_state():
     grid = q_function(state, space)
     assert grid.values[-1].max() == grid.values.max()  # theta = pi row
     assert np.abs(grid.values[0]).max() < 1e-12  # theta = 0 row
-    assert abs(grid.norm_integral() - 1.0) < 1e-3
+    assert abs(q_norm_integral(grid) - 1.0) < 1e-3
 
 
 def test_q_function_peaks_at_coherent_parameters():
@@ -433,7 +433,7 @@ def test_q_function_peaks_at_coherent_parameters():
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert abs(grid.theta[i] - theta0) < 2 * np.pi / 180
     assert abs(grid.phi[j] - phi0) < 2 * np.pi / 180
-    assert abs(grid.norm_integral() - 1.0) < 1e-3
+    assert abs(q_norm_integral(grid) - 1.0) < 1e-3
 
 
 def test_q_function_rejects_unnormalized():

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spinamp.dicke import (
+    BandedHermitianOperator,
     DickeSpace,
     build_collective_operator,
     expectation,
 )
-from spinamp.harness.oracle import collective_operators, symmetric_sector_basis
-from helpers import coherent_amplitudes, densify
+from spinamp.harness.oracle import collective_operators
+from helpers import coherent_amplitudes, densify, kronecker_collective_operators, symmetric_sector_basis
 
 
 def oracle_sy(n):
@@ -95,6 +96,26 @@ def test_all_builders_match_full_space_symmetric_sector(n):
     for tag, full in pairs:
         restricted = basis.T @ full @ basis
         assert np.abs(densify(build_collective_operator(sp, tag)) - restricted).max() < 1e-12, tag
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_oracle_collective_operators_match_the_kronecker_sum(n):
+    for tag, fast, reference in zip(("Sx", "iSy", "Sz"), collective_operators(n), kronecker_collective_operators(n)):
+        assert np.array_equal(fast, reference), tag
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("bandwidth", [0, 1, 2])
+def test_row_radius_is_the_dense_gershgorin_radius(bandwidth, dimension):
+    """Integer entries of both signs, so every sum is exact in any order."""
+    rng = np.random.default_rng(10 * bandwidth + dimension)
+    bands = rng.integers(-9, 10, size=(bandwidth + 1, dimension)).astype(float)
+    for k in range(1, bandwidth + 1):
+        bands[k, max(dimension - k, 0) :] = 0.0  # padding
+    op = BandedHermitianOperator(dimension, bandwidth, bands)
+    dense = densify(op)
+    assert np.array_equal(op.row_radius(), np.abs(dense - np.diag(np.diag(dense))).sum(axis=1))
+    assert op.norm_upper_bound() == np.abs(dense).sum(axis=1).max()
 
 
 def test_expectation_lowest_weight_values():

@@ -465,6 +465,18 @@ def test_cli_oracle_rejects_large_n(capsys):
     assert "[oracle]" in capsys.readouterr().err
 
 
+def test_cli_oracle_names_a_non_finite_coupling(capsys):
+    assert main(["oracle", "--n", "4", "--jx", "0.7", "--jy", "nan"]) == 1
+    assert capsys.readouterr().err == "[oracle] jy must be finite, got nan\n"
+
+
+def test_cli_run_refuses_an_output_directory_under_a_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "figS1_absorption", "--out", str(blocker / "x")]) == 1
+    assert capsys.readouterr().err.startswith(f"[output] cannot make output directory {blocker / 'x'}: ")
+
+
 def test_cli_run_unknown_experiment(capsys):
     assert main(["run", "fig9_nonsense"]) == 1
     assert "[config]" in capsys.readouterr().err

@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from spinamp import lmg_statics
 from spinamp.criticality import field_sweep, susceptibility_at
 from spinamp.dicke import build_collective_operator, expectation
-from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, symmetric_sector_basis
-from helpers import densify, solvable_line_energies
+from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics
+from helpers import densify, solvable_line_energies, symmetric_sector_basis
 from spinamp.lmg_statics import (
     EigensolverError,
     LmgParams,
