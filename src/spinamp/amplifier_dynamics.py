@@ -52,11 +52,9 @@ SERIES_CUT = 1e-17  # the Chebyshev series stops at the first |J_k| below this p
 # 1e-60, stays far above float64 underflow.
 SUPPORT_TAIL = 1e-30
 # RK4 steps between trims. A trim costs a few passes over the window, and
-# each step of a group widens it by RK4_REACH; 1, 5 and 25 cost the same
-# within timing noise at N = 400-1600, and 5 keeps the widening to 40 levels.
+# each step of a group widens it by 4 H.bandwidth levels; 1, 5 and 25 cost the
+# same within timing noise at N = 400-1600, and 5 keeps the widening to 40 levels.
 TRIM_EVERY = 5
-RK4_REACH = 8  # levels one RK4 step can fill: four products with the bandwidth-2 H
-CHEBYSHEV_REACH = 2  # levels one Chebyshev term can fill: one product with H
 RK4_STABLE = 2.0 * np.sqrt(2.0)  # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt 2
 
 
@@ -100,7 +98,8 @@ class AmplifierTrajectory:
     sx2[k] and sy2[k] are <S_x^2> and <S_y^2> of the renormalized state at
     times[k], for every stored sample. Only the states evolve was asked to
     keep are held: states[j] is the renormalized state at snapshot_times[j],
-    one row of a (len(snapshot_times), dimension) complex array.
+    one row of a (len(snapshot_times), N + 1) complex array; a row is all
+    q_function needs.
 
     max_window is the most Dicke levels one propagation step ran on, and
     norm_drift the sum of |norm - 1| over the samples that the guard checks.
@@ -111,7 +110,6 @@ class AmplifierTrajectory:
     sy2: np.ndarray
     snapshot_times: np.ndarray
     states: np.ndarray
-    params: LmgParams
     max_window: int
     norm_drift: float
 
@@ -125,10 +123,9 @@ class AmplifierTrajectory:
 
 @dataclass(frozen=True)
 class GainTrace:
-    """G(t) = <S_x^2(t)> / <S_x^2(t_0)>; t_am is the first time G reaches
-    0.95 * g_max, measured from the pulse arrival."""
+    """G(t) = <S_x^2(t)> / <S_x^2(t_0)> on the trajectory's times; t_am is the
+    first time G reaches 0.95 * g_max, measured from the pulse arrival."""
 
-    times: np.ndarray
     gain: np.ndarray
     g_max: float
     t_am: float
@@ -172,11 +169,11 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
     exp(-i (H - e0) tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
     cut at SERIES_CUT; the coefficients are kept per distinct n_steps.
 
-    psi must be zero outside [lo, hi). Each term widens the support by
-    CHEBYSHEV_REACH levels, so step runs the series on [lo, hi) plus the
-    reach of all its terms, with H's bands cut to that slice, writes the
-    result back into psi and returns the slice as (a, b). The scratch is a
-    few vectors of the slice's length.
+    psi must be zero outside [lo, hi). Each term is one product with H, which
+    widens the support by h.bandwidth levels, so step runs the series on
+    [lo, hi) plus h.bandwidth levels per term, with H's bands cut to that
+    slice, writes the result back into psi and returns the slice as (a, b).
+    The scratch is a few vectors of the slice's length.
     """
     n = h.dimension
     diag = h.bands[0] - e0
@@ -215,7 +212,7 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
         if n_steps not in coefficients:
             coefficients[n_steps] = series(n_steps)
         c = coefficients[n_steps]
-        reach = CHEBYSHEV_REACH * c.size
+        reach = h.bandwidth * c.size
         a, b = max(lo - reach, 0), min(hi + reach, n)
         bands = d2[a:b], u2[a : b - 1], v2[a : b - 2]
         window = psi[a:b]
@@ -264,8 +261,9 @@ def evolve(
 
     Every TRIM_EVERY RK4 steps, and before each Chebyshev stride, _trim cuts
     the state's tails of norm at most SUPPORT_TAIL to exactly 0, and the
-    steps run on the levels left plus their reach: RK4_REACH per RK4 step,
-    CHEBYSHEV_REACH per Chebyshev term. A state that fills the space runs on
+    steps run on the levels left plus their reach, read from H.bandwidth:
+    4 H.bandwidth levels per RK4 step (four products with H), H.bandwidth
+    per Chebyshev term (one product). A state that fills the space runs on
     the whole space. Before each group of RK4 steps, dt times the largest
     Gershgorin row bound |H_mm - E0| + H.row_radius() on the slice, with
     P_e at its largest sample, must stay within RK4_STABLE; otherwise
@@ -338,7 +336,7 @@ def evolve(
             for first in range(steps[k - 1], steps[k], TRIM_EVERY):
                 last = min(first + TRIM_EVERY, steps[k])
                 lo, hi = _trim(psi, a, b)
-                reach = RK4_REACH * (last - first)
+                reach = 4 * h.bandwidth * (last - first)
                 a, b = max(lo - reach, 0), min(hi + reach, n)
                 bound = float(row_bound[a:b].max())
                 if not bound * dt <= RK4_STABLE:
@@ -373,7 +371,6 @@ def evolve(
         sy2=sy2_vals,
         snapshot_times=times[kept],
         states=states,
-        params=params,
         max_window=max_window,
         norm_drift=drift,
     )
@@ -387,7 +384,7 @@ def quantum_gain(traj: AmplifierTrajectory, *, t_arrival: float = 0.0) -> GainTr
     gain = traj.sx2 / ref
     g_max = float(gain.max())
     idx = int(np.argmax(gain >= 0.95 * g_max))
-    return GainTrace(times=traj.times, gain=gain, g_max=g_max, t_am=float(traj.times[idx] - t_arrival))
+    return GainTrace(gain=gain, g_max=g_max, t_am=float(traj.times[idx] - t_arrival))
 
 
 @dataclass(frozen=True)
@@ -408,12 +405,18 @@ class QFunctionGrid:
         return np.trapezoid(self.values * np.sin(self.theta)[:, None], self.theta, axis=0)
 
 
-def q_function(state: np.ndarray, space: DickeSpace) -> QFunctionGrid:
+def q_function(state: np.ndarray) -> QFunctionGrid:
     """Spin Q-function of a pure state on the 1-degree grid, log-stable in the
-    coherent overlaps."""
+    coherent overlaps.
+
+    state is one vector of N + 1 Dicke amplitudes, which fixes N; a state of
+    another shape or a single amplitude is a ValueError, as is one whose norm
+    is off 1 by more than 1e-6.
+    """
     state = np.asarray(state, dtype=complex)
-    if state.shape != (space.dimension,):
-        raise ValueError("state length does not match the space dimension")
+    if state.ndim != 1:
+        raise ValueError(f"state must be one vector of Dicke amplitudes, got shape {state.shape}")
+    space = DickeSpace(state.size - 1)
     nrm = np.linalg.norm(state)
     if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")

@@ -58,12 +58,17 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    """Least-squares power law on (log x, log y); exponent is the slope."""
+    """Least-squares power law on (log x, log y); exponent is the slope.
+
+    The fit used the n_points points whose x lies in [window_lo, window_hi].
+    The fields are the columns of the fits CSV, in order.
+    """
 
     exponent: float
     log_amplitude: float
     r_squared: float
-    window: tuple
+    window_lo: float
+    window_hi: float
     n_points: int
 
 
@@ -149,7 +154,8 @@ def fit_power_law(points, window) -> ScalingFit:
         exponent=float(coef[0]),
         log_amplitude=float(coef[1]),
         r_squared=r_squared,
-        window=(float(lo), float(hi)),
+        window_lo=float(lo),
+        window_hi=float(hi),
         n_points=len(inside),
     )
 

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..lmg_statics import LmgParams, correlations, order_parameters, solve_ground
-from .config import ConfigError, OutputSection, apply_overrides, parse_config_file
+from .config import ConfigError, OutputSection, apply_overrides, parse_config_text
 from .experiments import REGISTRY, ExperimentError, default_config, run_experiment
 from .oracle import brute_force_statics
 
@@ -20,7 +20,7 @@ def _run_configs(args) -> list:
     if args.config is not None:
         if len(names) > 1:
             raise ConfigError(f"--config applies to one experiment, got {len(names)}")
-        named, overrides = parse_config_file(args.config)
+        named, overrides = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         if named is not None and named != names[0]:
             raise ConfigError(
                 f"config names experiment {named!r} but the command line says {names[0]!r}"

@@ -65,8 +65,7 @@ class SweepSection:
             raise ConfigError(f"log spacing needs lo and hi > 0, got lo = {self.lo}, hi = {self.hi}")
 
     def values(self) -> np.ndarray:
-        if self.points == 1:
-            return np.array([self.lo])
+        """points values from lo to hi, evenly spaced on the chosen scale; one point is exactly [lo]."""
         if self.spacing == "linear":
             return np.linspace(self.lo, self.hi, self.points)
         return np.geomspace(self.lo, self.hi, self.points)
@@ -105,22 +104,24 @@ class ExperimentConfig:
     output: OutputSection = OutputSection()
 
 
+def _declared(hint) -> type:
+    """The type a hint declares, with None unwrapped: int | None gives int."""
+    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+
+
+# each section's dataclass by section name, in ExperimentConfig's field order,
+# which is the order serialize_config writes
 _SECTION_TYPES = {
-    "model": ModelSection,
-    "coupling": CouplingSection,
-    "pulse": PulseEnvelope,
-    "absorber": AbsorberParams,
-    "sweep": SweepSection,
-    "integration": IntegrationSection,
-    "output": OutputSection,
+    name: _declared(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if name != "experiment"
 }
 
 
 @functools.cache
 def _kind(section: str, key: str) -> type:
     """The declared type of a section field: int, float, str or bool."""
-    hint = typing.get_type_hints(_SECTION_TYPES[section])[key]
-    return next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    return _declared(typing.get_type_hints(_SECTION_TYPES[section])[key])
 
 
 def _coerce(section: str, key: str, raw: str):
@@ -179,11 +180,6 @@ def parse_config_text(text: str) -> tuple[str | None, dict[str, dict]]:
             vals[key] = _coerce(section, key, raw)
         overrides[section] = vals
     return experiment, overrides
-
-
-def parse_config_file(path) -> tuple[str | None, dict[str, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
 
 
 def apply_overrides(defaults: ExperimentConfig, overrides: dict[str, dict]) -> ExperimentConfig:

@@ -24,7 +24,7 @@ import numpy as np
 from .. import __version__
 from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from ..amplifier_dynamics import DriveSchedule, check_step, evolve, q_function, quantum_gain
-from ..criticality import SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
+from ..criticality import ScalingFit, SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
 from ..stepping import sample_grid, sample_index
 from . import svgplot
@@ -154,7 +154,7 @@ GAIN_CSV = ("t", "pe", "sx2", "sy2", "gain")
 QFUNC_CSV = ("theta", "phi", "q")
 TMAP_CSV = ("delta_pp", "gamma", "pe_steady")
 SIZE_CSV = SizePoint._fields
-FITS_CSV = ("quantity", "exponent", "log_amplitude", "r_squared", "window_lo", "window_hi", "n_points")
+FITS_CSV = ("quantity", *(f.name for f in dataclasses.fields(ScalingFit)))
 GAIN_SCALING_CSV = ("n", "g_max", "t_am")
 ABSORPTION_CSV = ("t", "pe")
 
@@ -191,15 +191,7 @@ def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, rec
 
 
 def _fit_row(name, fit):
-    return (
-        name,
-        fit.exponent,
-        fit.log_amplitude,
-        fit.r_squared,
-        fit.window[0],
-        fit.window[1],
-        fit.n_points,
-    )
+    return (name, *dataclasses.astuple(fit))
 
 
 def _tag(value: float) -> str:
@@ -240,10 +232,14 @@ def _run_fig2(cfg, run):
 
 
 def _check_driven(cfg, snapshots=()):
-    """Every sweep point must make a model, the amplifier's step must be within
-    its bound, and each snapshot time must be a stored amplifier sample."""
+    """Every sweep point must make a model of its own, the amplifier's step
+    must be within its bound, and each snapshot time must be a stored
+    amplifier sample."""
     with _refusing("sweep"):
-        _models(cfg)
+        models = _models(cfg)
+        for j, params in enumerate(models):
+            if params in models[:j]:
+                raise ValueError(f"points {models.index(params) + 1} and {j + 1} both give {params}")
     grid = cfg.integration
     with _refusing("integration"):
         check_step(grid.dt)
@@ -261,11 +257,24 @@ def _run_fig3(cfg, run):
             traj = _amplify(cfg, drive, params, record, FIG3_SNAPSHOTS)
         with run.stage(f"qfunction-jx={jx:g}"):
             for t_snap in FIG3_SNAPSHOTS:
-                grid = q_function(traj.state_at(t_snap), traj.params.space)
+                grid = q_function(traj.state_at(t_snap))
                 name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
                 run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(grid.theta, grid.phi, grid.values))
                 title = f"Q(theta, phi) at t={t_snap:g}, jx={jx:g}"
                 run.heatmap(f"{name}.svg", grid.phi, grid.theta, grid.values, "phi", "theta", title)
+
+
+def _check_fits(*windows):
+    """The check that each fit window holds enough [sweep] fields: fit_power_law
+    given the fields with y = 1 refuses them where it would refuse the sweep's
+    data for too few points, so the rule is its own."""
+
+    def check(cfg):
+        with _refusing("sweep"):
+            for window in windows:
+                fit_power_law([(bx, 1.0) for bx in cfg.sweep.values()], window)
+
+    return check
 
 
 def _run_fig4(cfg, run):
@@ -377,7 +386,6 @@ def _run_figs8(cfg, run):
 
 @dataclass(frozen=True)
 class Experiment:
-    name: str
     description: str
     defaults: ExperimentConfig  # sections and fields left None are not taken
     runner: object  # runner(cfg, run) computes and writes through the _Run
@@ -386,7 +394,6 @@ class Experiment:
 
 def _exp(name, description, runner, check=None, **sections):
     return Experiment(
-        name=name,
         description=description,
         defaults=ExperimentConfig(experiment=name, **sections),
         runner=runner,
@@ -413,7 +420,7 @@ _LINE_SWEEP = dict(
 )
 
 REGISTRY = {
-    e.name: e
+    e.defaults.experiment: e
     for e in (
         _exp(
             "fig2_gain_vs_bias",
@@ -435,12 +442,14 @@ REGISTRY = {
             "fig4_susceptibility",
             "field sweep at the transition, susceptibility exponent fit, chi vs N",
             _run_fig4,
+            _check_fits(CHI_FIT_WINDOW),
             **_LINE_SWEEP,
         ),
         _exp(
             "fig5_correlation_gap",
             "higher-order correlator and gap sweeps with exponent fits",
             _run_fig5,
+            _check_fits(CXXYY_FIT_WINDOW, GAP_FIT_WINDOW),
             **_LINE_SWEEP,
         ),
         _exp(

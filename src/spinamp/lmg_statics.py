@@ -64,7 +64,6 @@ class LmgParams:
 @dataclass(frozen=True)
 class GroundStateResult:
     e0: float
-    e1: float
     gap: float
     ground: np.ndarray
     params: LmgParams
@@ -324,7 +323,7 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     h = assemble_hamiltonian(params)
     if params.bx != 0.0:
         e0, gap, vec = _ground_by_shift_invert(h, params)
-        return GroundStateResult(e0=e0, e1=e0 + gap, gap=gap, ground=vec, params=params)
+        return GroundStateResult(e0=e0, gap=gap, ground=vec, params=params)
     try:
         e0, e1, vec = _ground_by_parity(h)
     except (scipy.linalg.LinAlgError, ValueError) as err:
@@ -332,7 +331,7 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     vec = _fix_sign(vec)
     vec = vec / np.linalg.norm(vec)
     _check_residual(h, e0, vec, params)
-    return GroundStateResult(e0=e0, e1=e1, gap=e1 - e0, ground=vec, params=params)
+    return GroundStateResult(e0=e0, gap=e1 - e0, ground=vec, params=params)
 
 
 def order_parameters(result: GroundStateResult) -> OrderParameters:

@@ -309,9 +309,8 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
 
 def test_c09_q_function_rotation(critical_trajectory):
     _clock("C9")
-    space = critical_trajectory.params.space
-    before = q_function(critical_trajectory.state_at(-5.0), space)
-    after = q_function(critical_trajectory.state_at(18.0), space)
+    before = q_function(critical_trajectory.state_at(-5.0))
+    after = q_function(critical_trajectory.state_at(18.0))
     yz_before = azimuthal_plane_mass(before, "yz")
     xz_after = azimuthal_plane_mass(after, "xz")
     norm_ok = abs(q_norm_integral(before) - 1.0) < 1e-3 and abs(q_norm_integral(after) - 1.0) < 1e-3

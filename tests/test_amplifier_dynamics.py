@@ -344,7 +344,6 @@ def test_quantum_gain_definition():
         sy2=sx2,
         snapshot_times=times,
         states=np.zeros((5, 2), dtype=complex),
-        params=LmgParams(n_qubits=1, jx=0.0, jy=0.0),
         max_window=2,
         norm_drift=0.0,
     )
@@ -416,10 +415,9 @@ def test_kept_states_are_the_rows_of_a_run_keeping_all():
 
 
 def test_q_function_pole_state():
-    space = DickeSpace(40)
     state = np.zeros(41, dtype=complex)
     state[0] = 1.0  # |S, -S>, polarized along -z
-    grid = q_function(state, space)
+    grid = q_function(state)
     assert grid.values[-1].max() == grid.values.max()  # theta = pi row
     assert np.abs(grid.values[0]).max() < 1e-12  # theta = 0 row
     assert abs(q_norm_integral(grid) - 1.0) < 1e-3
@@ -429,7 +427,7 @@ def test_q_function_peaks_at_coherent_parameters():
     space = DickeSpace(60)
     theta0, phi0 = 1.1, 2.3
     state = coherent_amplitudes(space, theta0, phi0)
-    grid = q_function(state, space)
+    grid = q_function(state)
     i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
     assert abs(grid.theta[i] - theta0) < 2 * np.pi / 180
     assert abs(grid.phi[j] - phi0) < 2 * np.pi / 180
@@ -437,21 +435,31 @@ def test_q_function_peaks_at_coherent_parameters():
 
 
 def test_q_function_rejects_unnormalized():
-    space = DickeSpace(10)
     with pytest.raises(ValueError):
-        q_function(np.ones(11, dtype=complex), space)
+        q_function(np.ones(11, dtype=complex))
     with pytest.raises(ValueError, match="normalized"):
-        q_function(np.full(11, np.nan, dtype=complex), space)
+        q_function(np.full(11, np.nan, dtype=complex))
+
+
+def test_q_function_takes_the_space_from_one_vector():
+    # N + 1 amplitudes fix N: a stack of states and a lone amplitude fix none
+    with pytest.raises(ValueError, match=r"one vector of Dicke amplitudes, got shape \(1, 11\)"):
+        q_function(np.eye(1, 11, dtype=complex))
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer, got 0"):
+        q_function(np.ones(1, dtype=complex))
+    state = np.zeros(11, dtype=complex)
+    state[-1] = 1.0  # |S, +S>: N = 10 from the length alone
+    assert q_function(state).values[0].max() == pytest.approx(11 / (4 * np.pi), rel=1e-12)
 
 
 def test_azimuthal_plane_masses():
     space = DickeSpace(80)
     equator_x = coherent_amplitudes(space, np.pi / 2, 0.0)
-    gx = q_function(equator_x, space)
+    gx = q_function(equator_x)
     assert azimuthal_plane_mass(gx, "xz") > 0.95
     assert azimuthal_plane_mass(gx, "yz") < 0.05
     equator_y = coherent_amplitudes(space, np.pi / 2, np.pi / 2)
-    gy = q_function(equator_y, space)
+    gy = q_function(equator_y)
     assert azimuthal_plane_mass(gy, "yz") > 0.95
     with pytest.raises(ValueError):
         azimuthal_plane_mass(gx, "xy")

@@ -41,7 +41,7 @@ def test_fit_power_law_window_filters_points():
     xs = np.geomspace(1e-4, 1.0, 20)
     fit = fit_power_law(list(zip(xs, xs**-1.5)), (1e-3, 1e-1))
     assert fit.n_points == sum(1 for x in xs if 1e-3 <= x <= 1e-1)
-    assert fit.window == (1e-3, 1e-1)
+    assert (fit.window_lo, fit.window_hi) == (1e-3, 1e-1)
 
 
 def test_fit_power_law_errors():

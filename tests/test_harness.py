@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,9 @@ def test_sweep_section_validation_and_values():
     np.testing.assert_allclose(lin.values(), [0.5, 0.675])
     log = SweepSection(lo=1e-6, hi=1e-2, points=5, spacing="log")
     np.testing.assert_allclose(log.values(), np.geomspace(1e-6, 1e-2, 5))
+    for spacing in ("linear", "log"):  # one point is exactly lo
+        for lo, hi in ((0.675, 0.675), (1.0 / 3.0, 7.0), (3e-6, 2e-9), (123.456, 123.457)):
+            assert SweepSection(lo=lo, hi=hi, points=1, spacing=spacing).values().tolist() == [lo]
 
 
 def test_config_round_trip_all_experiments():
@@ -239,6 +245,20 @@ EARLY_REFUSALS = [
     # the absorber's step must resolve the pulse
     ("figS1_absorption", "integration", "dt = 0.02", "dt = 0.02 exceeds tau_f / 100 = 0.01"),
     ("figS2_transduction_map", "integration", "dt = 0.02", "dt = 0.02 exceeds tau_f / 100 = 0.01"),
+    # each fit window must hold the three sweep points a power-law fit needs
+    ("fig4_susceptibility", "sweep", "lo = 1e-3\nhi = 1e-2\npoints = 5",
+     "need >= 3 points inside window (1e-06, 0.0001), found 0"),
+    ("fig5_correlation_gap", "sweep", "lo = 1e-6\nhi = 1e-5",
+     "need >= 3 points inside window (0.0001, 0.01), found 0"),
+    ("fig5_correlation_gap", "sweep", "lo = 1e-4\nhi = 1e-2\npoints = 2",
+     "need >= 3 points inside window (0.0001, 0.01), found 2"),
+    # two sweep points that give one model would run it twice
+    ("figS3_gain_scaling", "sweep", "lo = 20\nhi = 21\npoints = 3",
+     "points 1 and 2 both give LmgParams(n_qubits=20, "),
+    ("fig2_gain_vs_bias", "sweep", "lo = 0.675\nhi = 0.675",
+     "points 1 and 2 both give LmgParams(n_qubits=400, jx=0.675, "),
+    ("fig3_qfunction", "sweep", "lo = 0.6\nhi = 0.6\npoints = 3",
+     "points 1 and 2 both give LmgParams(n_qubits=400, jx=0.6, "),
 ]
 
 
@@ -557,3 +577,27 @@ def test_cli_run_figs1(tmp_path, capsys):
     data = json.loads((out_dir / "manifest.json").read_text())
     assert data["experiment"] == "figS1_absorption"
     assert "figS1_absorption" in capsys.readouterr().out
+
+
+COMPARE_RUNS = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+
+
+def _compare_runs(a, b):
+    done = subprocess.run([sys.executable, str(COMPARE_RUNS), str(a), str(b)], capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def test_compare_runs_matches_reruns_and_names_an_edited_column(tmp_path):
+    for name in ("a", "b"):
+        run_experiment(_figs1_config(tmp_path, name))
+    code, out = _compare_runs(tmp_path / "a", tmp_path / "b")
+    assert code == 0, out
+    assert out.endswith(" match (runs: 1, files: 1)\n")
+    target = tmp_path / "b" / "absorption.csv"
+    lines = target.read_text().splitlines()
+    t, pe = lines[-1].split(",")
+    lines[-1] = f"{t},{float(pe) * (1.0 + 1e-6)!r}"
+    target.write_text("\n".join(lines) + "\n")
+    code, out = _compare_runs(tmp_path / "a", tmp_path / "b")
+    assert code == 1
+    assert "absorption.csv: sha256 differs\n  t: unchanged\n  pe: largest relative change 1.00e-06\n" in out
