@@ -10,7 +10,12 @@ amplitudes psi = (psi_f, psi_h) and the stored population P_e, with
     psi' = M psi - c xi(t) sqrt(gamma_fg) e_f,   P_e' = gamma_he |psi_h|^2,
     M = [[-gamma_fg/2, -i delta_pp], [-i delta_pp, -gamma_he/2]],
 
-and c = sqrt(eta) e^{i phase}. The hierarchy's physical block is
+and c = sqrt(eta). A phase of c would be a gauge: the ODE is linear, starts
+at zero and is driven only through c, so psi = c psi~ and P_e = |c|^2 P~_e
+with (psi~, P~_e) the c = 1 solution, and c e^{i phi} only multiplies psi by
+e^{i phi}, leaving P_e and every population unchanged.
+
+The hierarchy's physical block is
 rho_11 = |psi><psi| + P_e |e><e| + (1 - |psi|^2 - P_e) |g><g|, its coherence
 rho_10 = |psi><g| and rho_00 = |g><g| (the single-excitation picture of
 one-photon absorption; Stobinska, Alber and Leuchs, EPL 86, 14007, 2009).
@@ -86,7 +91,10 @@ class PulseEnvelope:
 
 @dataclass(frozen=True)
 class AbsorberParams:
-    """The atom: rates in units of the amplifier splitting, coupling c = sqrt(eta) e^{i phase}.
+    """The atom: rates in units of the amplifier splitting, coupling c = sqrt(eta).
+
+    c is real: a phase of c would only multiply the amplitudes by that phase
+    and leave P_e unchanged (see the module docstring).
 
     Each field may be an array; the fields broadcast into a grid of cells
     that integrate_hierarchy steps as one batch. Every element is checked,
@@ -97,7 +105,6 @@ class AbsorberParams:
     gamma_fg: float
     gamma_he: float
     eta: float = 1.0
-    phase: float = 0.0
 
     def __post_init__(self):
         _require_finite(self)
@@ -152,8 +159,7 @@ def integrate_hierarchy(
     half_steps = 2.0 / dt
     delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he
     m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
-    coupling = np.sqrt(params.eta) * np.exp(1j * params.phase)
-    source = -coupling * np.sqrt(gamma_fg)
+    source = -np.sqrt(params.eta) * np.sqrt(gamma_fg)
 
     def deriv(t, y):
         out = np.empty_like(y)

@@ -26,7 +26,6 @@ there stays within RK4_STABLE; evolve checks this before every group.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -58,10 +57,18 @@ TRIM_EVERY = 5
 RK4_STABLE = 2.0 * np.sqrt(2.0)  # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt 2
 
 
-def check_step(dt: float) -> None:
-    """ValueError unless dt is within the propagation bound MAX_DT."""
+def sample_plan(t_start: float, t_end: float, dt: float, sample_every: int, snapshots=()):
+    """The samples evolve stores and the ones whose states it keeps: (steps, times, kept).
+
+    steps and times are stepping.sample_grid's, and kept[j] is the index of
+    the sample at snapshots[j] (stepping.sample_index). ValueError if dt
+    exceeds the propagation bound MAX_DT or a snapshot time is off the grid.
+    """
     if not dt <= MAX_DT + 1e-15:
         raise ValueError(f"dt = {dt} exceeds the {MAX_DT:g} propagation bound")
+    steps, times = sample_grid(t_start, t_end, dt, sample_every)
+    kept = np.array([sample_index(times, t) for t in snapshots], dtype=int)
+    return steps, times, kept
 
 
 @dataclass(frozen=True)
@@ -93,13 +100,13 @@ class DriveSchedule:
 
 @dataclass(frozen=True)
 class AmplifierTrajectory:
-    """The samples of one evolve run, on the grid of stepping.sample_grid.
+    """The samples of one evolve run, on the grid of sample_plan.
 
     sx2[k] and sy2[k] are <S_x^2> and <S_y^2> of the renormalized state at
     times[k], for every stored sample. Only the states evolve was asked to
-    keep are held: states[j] is the renormalized state at snapshot_times[j],
-    one row of a (len(snapshot_times), N + 1) complex array; a row is all
-    q_function needs.
+    keep are held: states[j] is the renormalized state at snapshots[j], in
+    the order and with the repeats evolve was given, one row of a
+    (len(snapshots), N + 1) complex array; a row is all q_function needs.
 
     max_window is the most Dicke levels one propagation step ran on, and
     norm_drift the sum of |norm - 1| over the samples that the guard checks.
@@ -108,17 +115,9 @@ class AmplifierTrajectory:
     times: np.ndarray
     sx2: np.ndarray
     sy2: np.ndarray
-    snapshot_times: np.ndarray
     states: np.ndarray
     max_window: int
     norm_drift: float
-
-    def state_at(self, t: float) -> np.ndarray:
-        """The kept state at time t; ValueError if none was kept within rounding of t."""
-        if self.snapshot_times.size:
-            with contextlib.suppress(ValueError):
-                return self.states[sample_index(self.snapshot_times, t)]
-        raise ValueError(f"no state kept at t = {t}; kept times are {self.snapshot_times.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -244,13 +243,12 @@ def evolve(
     drive P_e is assemble_hamiltonian of params with bx * P_e. That H at
     zero drive gives the RK4 derivative its diagonal and pair bands, at the
     largest drive sample the RK4 guard's bound, and at the final one the
-    operator _chebyshev_propagator exponentiates. dt must
-    pass check_step. A sample is stored on the grid of stepping.sample_grid,
-    written in place into arrays sized before the first step: <S_x^2> and
-    <S_y^2> at every sample, and the state only at the sample times listed
-    in snapshots. Each snapshot time is mapped to its sample by
-    stepping.sample_index before any work, so a time off the grid is a
-    ValueError; the running state is one vector, so a run that keeps no
+    operator _chebyshev_propagator exponentiates. sample_plan checks dt and
+    maps each snapshot time to its sample before any work, so a dt above
+    MAX_DT or a time off the grid is a ValueError. A sample is stored on
+    sample_plan's grid, written in place into arrays sized before the first
+    step: <S_x^2> and <S_y^2> at every sample, and states[j] only at
+    snapshots[j]; the running state is one vector, so a run that keeps no
     state needs O(N) memory whatever its length.
 
     Up to k_flat, the first stored sample at or after flat_drive_start(drive),
@@ -272,11 +270,9 @@ def evolve(
     renormalized at sample points), otherwise IntegrationError names the
     time.
     """
-    check_step(dt)
+    steps, times, kept = sample_plan(t_start, t_end, dt, sample_every, snapshots)
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
-    steps, times = sample_grid(t_start, t_end, dt, sample_every)
-    kept = np.array([sample_index(times, t) for t in snapshots], dtype=int)
     k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
 
     space = params.space
@@ -369,7 +365,6 @@ def evolve(
         times=times,
         sx2=sx2_vals,
         sy2=sy2_vals,
-        snapshot_times=times[kept],
         states=states,
         max_window=max_window,
         norm_drift=drift,
@@ -400,10 +395,6 @@ class QFunctionGrid:
     phi: np.ndarray
     values: np.ndarray
 
-    def azimuthal_marginal(self) -> np.ndarray:
-        """integral Q sin(theta) d(theta) on the phi grid."""
-        return np.trapezoid(self.values * np.sin(self.theta)[:, None], self.theta, axis=0)
-
 
 def q_function(state: np.ndarray) -> QFunctionGrid:
     """Spin Q-function of a pure state on the 1-degree grid, log-stable in the
@@ -429,28 +420,3 @@ def q_function(state: np.ndarray) -> QFunctionGrid:
     overlap = (mag * state[np.newaxis, :]) @ phases
     values = (space.dimension / (4.0 * np.pi)) * np.abs(overlap) ** 2
     return QFunctionGrid(theta=theta, phi=phi, values=values)
-
-
-def azimuthal_plane_mass(grid: QFunctionGrid, plane: str) -> float:
-    """Fraction of the Q-function mass with azimuth within pi/4 of a plane.
-
-    plane = "xz" selects phi near {0, pi}; plane = "yz" selects phi near
-    {pi/2, 3 pi/2}.
-    """
-    if plane == "xz":
-        centers = (0.0, np.pi, 2.0 * np.pi)
-    elif plane == "yz":
-        centers = (np.pi / 2.0, 3.0 * np.pi / 2.0)
-    else:
-        raise ValueError(f"unknown plane {plane!r}; expected 'xz' or 'yz'")
-    marginal = grid.azimuthal_marginal()
-    total = np.trapezoid(marginal, grid.phi)
-    mask = np.zeros_like(grid.phi, dtype=bool)
-    for c in centers:
-        mask |= np.abs(grid.phi - c) <= np.pi / 4.0 + 1e-12
-    masked = np.where(mask, marginal, 0.0)
-    # the trapezoids straddling a window edge keep half the boundary value;
-    # on the 1-degree grid that is a ~d(phi)/2 edge effect, far below the
-    # 80% thresholds this feeds
-    selected = np.trapezoid(masked, grid.phi)
-    return float(selected / total)

@@ -126,9 +126,9 @@ def field_sweep(params: LmgParams, bx_values: Sequence[float]) -> list[SweepPoin
 def fit_power_law(points, window) -> ScalingFit:
     """Fit y = A x^p over the points whose x falls inside the window.
 
-    Raises InsufficientDataError for fewer than three usable points and
-    ValueError (listing offenders) for nonpositive or non-finite values in
-    the window.
+    Raises InsufficientDataError when the window holds fewer than three
+    distinct x, and ValueError (listing offenders) for nonpositive or
+    non-finite values in the window.
     """
     lo, hi = window
     if not lo < hi:
@@ -138,9 +138,10 @@ def fit_power_law(points, window) -> ScalingFit:
     bad = [(x, y) for x, y in inside if not (0.0 < x < math.inf and 0.0 < y < math.inf)]  # NaN fails
     if bad:
         raise ValueError(f"nonpositive or non-finite values inside fit window: {bad}")
-    if len(inside) < 3:
+    distinct = len({x for x, _ in inside})
+    if distinct < 3:
         raise InsufficientDataError(
-            f"need >= 3 points inside window {window}, found {len(inside)}"
+            f"need >= 3 points inside window {window}, found {len(inside)} at {distinct} distinct x"
         )
     lx = np.log([x for x, _ in inside])
     ly = np.log([y for _, y in inside])

@@ -61,6 +61,8 @@ class SweepSection:
             raise ConfigError(f"spacing must be 'linear' or 'log', got {self.spacing!r}")
         if self.points < 1:
             raise ConfigError(f"points must be >= 1, got {self.points}")
+        if self.points > 1 and self.lo == self.hi:
+            raise ConfigError(f"points = {self.points} needs lo != hi, got lo = hi = {self.lo}")
         if self.spacing == "log" and not (self.lo > 0.0 and self.hi > 0.0):
             raise ConfigError(f"log spacing needs lo and hi > 0, got lo = {self.lo}, hi = {self.hi}")
 

@@ -23,10 +23,9 @@ import numpy as np
 
 from .. import __version__
 from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
-from ..amplifier_dynamics import DriveSchedule, check_step, evolve, q_function, quantum_gain
+from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain, sample_plan
 from ..criticality import ScalingFit, SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
-from ..stepping import sample_grid, sample_index
 from . import svgplot
 from .config import (
     ConfigError,
@@ -194,8 +193,13 @@ def _fit_row(name, fit):
     return (name, *dataclasses.astuple(fit))
 
 
+def _exact(value: float) -> str:
+    """The shortest decimal that reads back as value, never in exponent form."""
+    return np.format_float_positional(value, trim="-")
+
+
 def _tag(value: float) -> str:
-    return ("%g" % value).replace(".", "p").replace("-", "m")
+    return _exact(value).replace(".", "p").replace("-", "m")
 
 
 def _grid_rows(x, y, values):
@@ -221,13 +225,13 @@ def _run_fig2(cfg, run):
         drive = _drive_from_absorber(cfg)
     curves = []
     for params in _models(cfg):
-        with run.stage(f"dynamics-jx={params.jx:g}") as record:
+        with run.stage(f"dynamics-jx={_exact(params.jx)}") as record:
             traj = _amplify(cfg, drive, params, record)
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
             pe = drive.pe_at(traj.times)
             rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
             run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
-            curves.append((traj.times, gain.gain, f"jx={params.jx:g}", "line"))
+            curves.append((traj.times, gain.gain, f"jx={_exact(params.jx)}", "line"))
     run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)
 
 
@@ -242,10 +246,7 @@ def _check_driven(cfg, snapshots=()):
                 raise ValueError(f"points {models.index(params) + 1} and {j + 1} both give {params}")
     grid = cfg.integration
     with _refusing("integration"):
-        check_step(grid.dt)
-        _, times = sample_grid(grid.t_start, grid.t_end, grid.dt, grid.sample_every)
-        for t_snap in snapshots:
-            sample_index(times, t_snap)
+        sample_plan(grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots)
 
 
 def _run_fig3(cfg, run):
@@ -253,14 +254,14 @@ def _run_fig3(cfg, run):
         drive = _drive_from_absorber(cfg)
     for params in _models(cfg):
         jx = params.jx
-        with run.stage(f"dynamics-jx={jx:g}") as record:
+        with run.stage(f"dynamics-jx={_exact(jx)}") as record:
             traj = _amplify(cfg, drive, params, record, FIG3_SNAPSHOTS)
-        with run.stage(f"qfunction-jx={jx:g}"):
-            for t_snap in FIG3_SNAPSHOTS:
-                grid = q_function(traj.state_at(t_snap))
+        with run.stage(f"qfunction-jx={_exact(jx)}"):
+            for t_snap, state in zip(FIG3_SNAPSHOTS, traj.states):
+                grid = q_function(state)
                 name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
                 run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(grid.theta, grid.phi, grid.values))
-                title = f"Q(theta, phi) at t={t_snap:g}, jx={jx:g}"
+                title = f"Q(theta, phi) at t={t_snap:g}, jx={_exact(jx)}"
                 run.heatmap(f"{name}.svg", grid.phi, grid.theta, grid.values, "phi", "theta", title)
 
 

@@ -31,8 +31,6 @@ class EigensolverError(RuntimeError):
     def __init__(self, step: str, message: str, dimension: int, params: "LmgParams"):
         super().__init__(f"[{step}] {message} (dimension={dimension}, params={params})")
         self.step = step
-        self.dimension = dimension
-        self.params = params
 
 
 @dataclass(frozen=True)
@@ -127,27 +125,34 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _ground_by_parity(h: BandedHermitianOperator):
-    """E0, E1 and the ground vector from the even and odd m-offset blocks at B_x = 0.
+def _ground_by_parity(h: BandedHermitianOperator, params: "LmgParams"):
+    """E0, E1 - E0 and the ground vector from the even and odd m-offset blocks at B_x = 0.
 
     Bisection leaves each eigenvalue a few ulp of |H| off, so levels closer
-    than 4 ulp are a tie; on a tie the even block supplies the vector.
+    than 4 ulp are a tie; on a tie the even block supplies the vector. A
+    failing tridiagonal solve is EigensolverError step ``parity``.
     """
     n = h.dimension
     found = []  # (eigenvalue, parity, block_vector)
-    for par in (0, 1):
-        idx = np.arange(par, n, 2)
-        w, v = scipy.linalg.eigh_tridiagonal(
-            h.bands[0][idx], h.bands[2][idx[:-1]], select="i", select_range=(0, min(1, idx.size - 1))
-        )
-        found.extend((float(w[i]), par, v[:, i]) for i in range(w.size))
+    try:
+        for par in (0, 1):
+            idx = np.arange(par, n, 2)
+            w, v = scipy.linalg.eigh_tridiagonal(
+                h.bands[0][idx], h.bands[2][idx[:-1]], select="i", select_range=(0, min(1, idx.size - 1))
+            )
+            found.extend((float(w[i]), par, v[:, i]) for i in range(w.size))
+    except (scipy.linalg.LinAlgError, ValueError) as err:
+        raise EigensolverError("parity", f"eigensolver failed: {err}", n, params) from err
     found.sort(key=lambda t: t[0])
     e0, e1 = found[0][0], found[1][0]
     tie = 4.0 * np.spacing(h.norm_upper_bound())
     _, par, vb = min((f for f in found if f[0] - e0 <= tie), key=lambda f: f[1])
     vec = np.zeros(n)
     vec[par::2] = vb
-    return e0, e1, vec
+    vec = _fix_sign(vec)
+    vec = vec / np.linalg.norm(vec)
+    _check_residual(h, e0, vec, params)
+    return e0, e1 - e0, vec
 
 
 _SHIFT_MARGIN = 1e-13  # a trial shift stays this far below the E0 upper bound, relative to |H|
@@ -321,17 +326,8 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     the step: ``parity``, ``shift``, ``residual`` or ``excited``.
     """
     h = assemble_hamiltonian(params)
-    if params.bx != 0.0:
-        e0, gap, vec = _ground_by_shift_invert(h, params)
-        return GroundStateResult(e0=e0, gap=gap, ground=vec, params=params)
-    try:
-        e0, e1, vec = _ground_by_parity(h)
-    except (scipy.linalg.LinAlgError, ValueError) as err:
-        raise EigensolverError("parity", f"eigensolver failed: {err}", h.dimension, params) from err
-    vec = _fix_sign(vec)
-    vec = vec / np.linalg.norm(vec)
-    _check_residual(h, e0, vec, params)
-    return GroundStateResult(e0=e0, gap=e1 - e0, ground=vec, params=params)
+    e0, gap, vec = (_ground_by_shift_invert if params.bx != 0.0 else _ground_by_parity)(h, params)
+    return GroundStateResult(e0=e0, gap=gap, ground=vec, params=params)
 
 
 def order_parameters(result: GroundStateResult) -> OrderParameters:

@@ -1,6 +1,6 @@
 """Constructions only the tests use: a zero drive, dense matrices, coherent
 states, the analytic J_x = J_y spectrum, a pulse's norm on a grid, a
-Q-function's norm, and the full-space Dicke basis and Kronecker-sum
+Q-function's norm and plane masses, and the full-space Dicke basis and Kronecker-sum
 collective operators the 2^N oracle is checked against."""
 
 import numpy as np
@@ -62,6 +62,32 @@ def q_norm_integral(grid: QFunctionGrid) -> float:
     """integral Q sin(theta) d(theta) d(phi) by the trapezoidal rule; 1 for a normalized state."""
     inner = np.trapezoid(grid.values * np.sin(grid.theta)[:, None], grid.phi, axis=1)
     return float(np.trapezoid(inner, grid.theta))
+
+
+def azimuthal_plane_mass(grid: QFunctionGrid, plane: str) -> float:
+    """Fraction of the Q-function mass with azimuth within pi/4 of a plane.
+
+    plane = "xz" selects phi near {0, pi}; plane = "yz" selects phi near
+    {pi/2, 3 pi/2}.
+    """
+    if plane == "xz":
+        centers = (0.0, np.pi, 2.0 * np.pi)
+    elif plane == "yz":
+        centers = (np.pi / 2.0, 3.0 * np.pi / 2.0)
+    else:
+        raise ValueError(f"unknown plane {plane!r}; expected 'xz' or 'yz'")
+    # integral Q sin(theta) d(theta) on the phi grid
+    marginal = np.trapezoid(grid.values * np.sin(grid.theta)[:, None], grid.theta, axis=0)
+    total = np.trapezoid(marginal, grid.phi)
+    mask = np.zeros_like(grid.phi, dtype=bool)
+    for c in centers:
+        mask |= np.abs(grid.phi - c) <= np.pi / 4.0 + 1e-12
+    masked = np.where(mask, marginal, 0.0)
+    # the trapezoids straddling a window edge keep half the boundary value;
+    # on the 1-degree grid that is a ~d(phi)/2 edge effect, far below the
+    # 80% thresholds this feeds
+    selected = np.trapezoid(masked, grid.phi)
+    return float(selected / total)
 
 
 def symmetric_sector_basis(n_qubits: int) -> np.ndarray:

@@ -26,7 +26,7 @@ def _block_deriv(params):
     l2[_E, _H] = np.sqrt(params.gamma_he)
     l1d, l2d = l1.T, l2.T
     esum = l1d @ l1 + l2d @ l2
-    c = np.sqrt(params.eta) * np.exp(1j * params.phase)
+    c = np.sqrt(params.eta)
 
     def deriv(xi, rho):
         out = -1j * (h @ rho - rho @ h)
@@ -81,7 +81,7 @@ def _closed_form_psi(cell, pulse, t_start, t):
     """
     d, gf, gh = cell["delta_pp"], cell["gamma_fg"], cell["gamma_he"]
     lam, vec = np.linalg.eig(np.array([[-gf / 2, -1j * d], [-1j * d, -gh / 2]]))
-    c = np.sqrt(cell.get("eta", 1.0)) * np.exp(1j * cell.get("phase", 0.0))
+    c = np.sqrt(cell.get("eta", 1.0))
     coef = np.linalg.solve(vec, [-c * np.sqrt(gf), 0.0])
     sigma = pulse.tau_f
     u0, u1 = t_start - pulse.t_arrival, np.asarray(t, dtype=float)[..., None] - pulse.t_arrival
@@ -192,7 +192,7 @@ def test_trace_conservation_and_block_structure():
     [
         dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),  # fig2, fig3, figS3
         dict(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),  # figS1
-        dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta=0.6, phase=0.7),
+        dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta=0.6),
     ],
 )
 def test_amplitudes_match_fock_hierarchy(cell):
@@ -209,10 +209,9 @@ def test_amplitudes_match_fock_hierarchy(cell):
 
 
 def test_scattering_efficiency_scales_transduction():
-    # rho_11 is second order in the photon amplitude: P_e scales with
-    # |c|^2 = eta, and the phase of c cancels
+    # rho_11 is second order in the photon amplitude: P_e scales with |c|^2 = eta
     full = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 4.0, dt=1e-3)
-    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6, phase=0.7), PULSE, -5.0, 4.0, dt=1e-3)
+    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6), PULSE, -5.0, 4.0, dt=1e-3)
     assert np.abs(lossy.pe - 0.6 * full.pe).max() < 1e-12
 
 
@@ -281,7 +280,7 @@ def test_params_check_every_cell():
 CLOSED_FORM_TOL = 1e-11
 CLOSED_FORM_CELLS = [
     dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-    dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta=0.6, phase=0.7),
+    dict(delta_pp=7.0, gamma_fg=12.0, gamma_he=30.0, eta=0.6),
 ]
 
 
@@ -299,11 +298,11 @@ def test_amplitudes_match_closed_form(cell):
 def test_grid_matches_closed_form():
     # gamma_he = 1.5 gamma_fg keeps every cell off M's exceptional point
     d, g = np.meshgrid([0.0, 7.0, 10.0], [5.0, 20.0], indexing="ij")
-    params = AbsorberParams(d, g, 1.5 * g, eta=0.6, phase=-1.1)
+    params = AbsorberParams(d, g, 1.5 * g, eta=0.6)
     trace = integrate_hierarchy(params, PULSE, -5.0, 3.0, dt=1e-3)
     every = slice(None, None, 50)
     for i, j in np.ndindex(d.shape):
-        cell = dict(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=1.5 * g[i, j], eta=0.6, phase=-1.1)
+        cell = dict(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=1.5 * g[i, j], eta=0.6)
         psi = _closed_form_psi(cell, PULSE, -5.0, trace.times)
         assert np.abs(trace.states[..., i, j] - psi).max() < CLOSED_FORM_TOL
         pe = _closed_form_pe(cell, PULSE, -5.0, trace.times[every])

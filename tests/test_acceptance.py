@@ -15,10 +15,10 @@ import pytest
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.amplifier_dynamics import (
     DriveSchedule,
-    azimuthal_plane_mass,
     evolve,
     q_function,
     quantum_gain,
+    sample_plan,
 )
 from spinamp.criticality import field_sweep, fit_power_law, size_sweep
 from spinamp.harness.experiments import CHI_FIT_WINDOW, CXXYY_FIT_WINDOW, GAP_FIT_WINDOW
@@ -29,8 +29,7 @@ from spinamp.lmg_statics import (
     order_parameters,
     solve_ground,
 )
-from spinamp.stepping import sample_grid
-from helpers import q_norm_integral, solvable_line_energies
+from helpers import azimuthal_plane_mass, q_norm_integral, solvable_line_energies
 from test_absorber import reconstructed_blocks
 
 _T0 = {}
@@ -75,7 +74,7 @@ def absorber_drive():
 @pytest.fixture(scope="module")
 def critical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.675, jy=0.7, bx=0.01)
-    _, every_sample = sample_grid(-5.0, 20.0, 1e-3, 25)  # C9 and C11 read the states
+    _, every_sample, _ = sample_plan(-5.0, 20.0, 1e-3, 25)  # C9 and C11 read the states
     return evolve(
         params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25, snapshots=every_sample
     )
@@ -258,8 +257,9 @@ def test_c07a_gain_contrast(critical_trajectory, noncritical_trajectory):
     within 1.05x of its t0 value in both runs, so a spin-noise gain would
     not raise the contrast either. The ratio keeps rising with N (15.4 at
     N = 800, 17.0 at 1600), but a classical mean-field spin under the same
-    drive gives (G-1)/N -> 6.67e-3 non-critical and 0.1466 critical, so the
-    ratio tends to about 22 as N -> infinity and no N reaches 100.
+    drive, started from both branches of the zero-field parity doublet and
+    averaged, gives (G-1)/N -> 6.676e-3 non-critical and 0.12738 critical,
+    so the ratio tends to about 19.1 as N -> infinity and no N reaches 100.
     """
     _clock("C7a")
     g_crit = quantum_gain(critical_trajectory).g_max
@@ -309,8 +309,10 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
 
 def test_c09_q_function_rotation(critical_trajectory):
     _clock("C9")
-    before = q_function(critical_trajectory.state_at(-5.0))
-    after = q_function(critical_trajectory.state_at(18.0))
+    # the fixture keeps every sample's state, so states[k] is the one at times[k]
+    _, _, (k_before, k_after) = sample_plan(-5.0, 20.0, 1e-3, 25, (-5.0, 18.0))
+    before = q_function(critical_trajectory.states[k_before])
+    after = q_function(critical_trajectory.states[k_after])
     yz_before = azimuthal_plane_mass(before, "yz")
     xz_after = azimuthal_plane_mass(after, "xz")
     norm_ok = abs(q_norm_integral(before) - 1.0) < 1e-3 and abs(q_norm_integral(after) - 1.0) < 1e-3

@@ -11,17 +11,17 @@ from spinamp import amplifier_dynamics
 from spinamp.amplifier_dynamics import (
     AmplifierTrajectory,
     DriveSchedule,
-    azimuthal_plane_mass,
     evolve,
     flat_drive_start,
     q_function,
     quantum_gain,
+    sample_plan,
 )
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
 from spinamp.stepping import IntegrationError, rk4_step, sample_grid
-from helpers import coherent_amplitudes, densify, q_norm_integral, zero_drive
+from helpers import azimuthal_plane_mass, coherent_amplitudes, densify, q_norm_integral, zero_drive
 
 BIAS = dict(jx=0.675, jy=0.7)
 
@@ -342,7 +342,6 @@ def test_quantum_gain_definition():
         times=times,
         sx2=sx2,
         sy2=sx2,
-        snapshot_times=times,
         states=np.zeros((5, 2), dtype=complex),
         max_window=2,
         norm_drift=0.0,
@@ -372,21 +371,6 @@ def test_last_partial_sample():
     assert np.array_equal(trace.times, -5.0 + 1e-3 * np.array([*range(0, 1001, 10), 1005]))
 
 
-def test_state_at_lookup():
-    params = LmgParams(n_qubits=12, **BIAS)
-    traj = evolve_keeping_all(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100)
-    assert traj.state_at(0.1).shape == (13,)
-    with pytest.raises(ValueError):
-        traj.state_at(0.1234567)
-    # a stored sample whose state was not kept, and a run that kept none
-    some = evolve(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100, snapshots=(0.2,))
-    assert np.array_equal(some.state_at(0.2), traj.state_at(0.2))
-    with pytest.raises(ValueError, match=r"no state kept at t = 0.1; kept times are \[0.2"):
-        some.state_at(0.1)
-    with pytest.raises(ValueError, match="no state kept at t = 0.2"):
-        evolve(params, zero_drive(0.0, 1.0), 0.0, 1.0, dt=1e-3, sample_every=100).state_at(0.2)
-
-
 def test_run_keeping_no_state_needs_no_per_sample_memory():
     """2001 samples at N = 400 would be 12.8 MB of states; a run that keeps
     none peaks below a tenth of that, on both the RK4 and the Chebyshev stretch."""
@@ -410,8 +394,10 @@ def test_kept_states_are_the_rows_of_a_run_keeping_all():
     some = evolve(params, drive, -1.0, 1.01, 1e-3, 25, snapshots=snapshots)
     assert some.states.shape == (5, 51)
     assert np.array_equal(some.sx2, every.sx2) and np.array_equal(some.sy2, every.sy2)
-    for t in snapshots:
-        assert np.array_equal(some.state_at(t), every.state_at(t))
+    # states[j] is the state at snapshots[j]: the row of its sample in a run keeping all
+    _, times, kept = sample_plan(-1.0, 1.01, 1e-3, 25, snapshots)
+    assert np.array_equal(times, every.times) and kept.tolist() == [60, 0, 81, 60, 40]
+    assert np.array_equal(some.states, every.states[kept])
 
 
 def test_q_function_pole_state():

@@ -47,6 +47,11 @@ def test_fit_power_law_window_filters_points():
 def test_fit_power_law_errors():
     with pytest.raises(InsufficientDataError):
         fit_power_law([(1.0, 1.0), (2.0, 4.0)], (0.5, 3.0))
+    # the rule counts fields, not rows: geomspace from lo to lo gives two
+    # equal fields and one an ulp from them
+    xs = np.geomspace(5e-5, 5e-5, 3)
+    with pytest.raises(InsufficientDataError, match="found 3 at 2 distinct x"):
+        fit_power_law(list(zip(xs, [1.0, 2.0, 3.0])), (1e-6, 1e-4))
     with pytest.raises(ValueError, match="nonpositive"):
         fit_power_law([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)], (0.5, 4.0))
     with pytest.raises(ValueError, match="lo < hi"):

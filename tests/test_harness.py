@@ -91,6 +91,8 @@ def test_parse_rejects_non_finite_numbers(raw):
 def test_sweep_section_validation_and_values():
     with pytest.raises(ConfigError, match="spacing"):
         SweepSection(lo=1.0, hi=2.0, points=3, spacing="cubic")
+    with pytest.raises(ConfigError, match=r"^points = 2 needs lo != hi, got lo = hi = 1.0$"):
+        SweepSection(lo=1.0, hi=1.0, points=2, spacing="linear")
     lin = SweepSection(lo=0.5, hi=0.675, points=2, spacing="linear")
     np.testing.assert_allclose(lin.values(), [0.5, 0.675])
     log = SweepSection(lo=1e-6, hi=1e-2, points=5, spacing="log")
@@ -255,10 +257,16 @@ EARLY_REFUSALS = [
     # two sweep points that give one model would run it twice
     ("figS3_gain_scaling", "sweep", "lo = 20\nhi = 21\npoints = 3",
      "points 1 and 2 both give LmgParams(n_qubits=20, "),
+    # several points need a span: lo == hi would repeat one value, or give
+    # values an ulp apart that fit_power_law and the CSVs would take as distinct
     ("fig2_gain_vs_bias", "sweep", "lo = 0.675\nhi = 0.675",
-     "points 1 and 2 both give LmgParams(n_qubits=400, jx=0.675, "),
+     "points = 2 needs lo != hi, got lo = hi = 0.675"),
     ("fig3_qfunction", "sweep", "lo = 0.6\nhi = 0.6\npoints = 3",
-     "points 1 and 2 both give LmgParams(n_qubits=400, jx=0.6, "),
+     "points = 3 needs lo != hi, got lo = hi = 0.6"),
+    ("fig4_susceptibility", "sweep", "lo = 5e-5\nhi = 5e-5\npoints = 3",
+     "points = 3 needs lo != hi, got lo = hi = 5e-05"),
+    ("figS8_eta", "sweep", "lo = 1e-4\nhi = 1e-4\npoints = 2",
+     "points = 2 needs lo != hi, got lo = hi = 0.0001"),
 ]
 
 
@@ -287,6 +295,17 @@ def test_amplifier_step_bound_is_checked_before_any_stage(tmp_path, name):
         run_experiment(cfg)
     assert info.value.stage == "config"
     assert not (tmp_path / "out").exists()
+
+
+def test_values_that_print_alike_write_files_of_their_own(tmp_path):
+    # %g prints both J_x as 0.675; the tags and stage names keep every digit
+    text = "[model]\nn_qubits = 20\n[sweep]\nlo = 0.675\nhi = 0.6750001\n[integration]\nt_end = 0\n"
+    cfg = apply_overrides(default_config("fig2_gain_vs_bias"), parse_config_text(text)[1])
+    out = tmp_path / "out"
+    manifest = run_experiment(dataclasses.replace(cfg, output=OutputSection(str(out))))
+    assert [o["path"] for o in manifest.outputs] == ["gain_jx0p675.csv", "gain_jx0p6750001.csv"]
+    assert [s["name"] for s in manifest.stages] == ["absorber", "dynamics-jx=0.675", "dynamics-jx=0.6750001"]
+    assert sha256_file(out / "gain_jx0p675.csv") != sha256_file(out / "gain_jx0p6750001.csv")
 
 
 def test_fig4_size_scan_follows_the_model(tmp_path):

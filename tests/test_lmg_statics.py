@@ -275,6 +275,17 @@ def test_residual_guard_trips_on_nan_vector(n, bx, index):
             solve_ground(params)
 
 
+def test_parity_branch_failure_names_its_step():
+    def failing(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("no convergence")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.linalg, "eigh_tridiagonal", failing)
+        with pytest.raises(EigensolverError, match=r"^\[parity\] eigensolver failed: no convergence") as err:
+            solve_ground(LmgParams(n_qubits=20, jx=0.7, jy=0.7))
+    assert err.value.step == "parity" and "n_qubits=20" in str(err.value)
+
+
 def test_ground_state_sign_convention_deterministic():
     params = LmgParams(n_qubits=144, **TEST_POINT)
     a = solve_ground(params).ground
