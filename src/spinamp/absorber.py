@@ -27,7 +27,10 @@ neglected (metastable destination).
 
 integrate_hierarchy is the one entry point, for one absorber and for a grid
 of them alike: a grid (figS2's (delta_pp, gamma) map) is an AbsorberParams
-whose fields are arrays, and every cell is the same three-number ODE.
+whose fields are arrays, and every cell is the same three-number ODE. The
+module's rk4_step steps y = (psi_f, psi_h, P_e) as three numbers: Python
+complex and float for one cell, arrays of the cell shape for a grid, with
+the same operations in the same order either way.
 """
 
 from __future__ import annotations
@@ -37,10 +40,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepping import IntegrationError, rk4_step, sample_grid
+from .stepping import IntegrationError, sample_grid
 
 SAMPLE_EVERY = 10  # RK4 steps per stored sample
 POPULATION_TOL = 1e-5  # P_e and p_g must stay in [-tol, 1 + tol]
+
+
+def rk4_step(y, t, dt, deriv):
+    """One classical RK4 step of y = (psi_f, psi_h, P_e).
+
+    deriv(t, psi_f, psi_h) returns the three rates; P_e enters none of them.
+    Each component takes the operations of stepping.rk4_step in its order,
+    so a cell steps to the same bits as there.
+    """
+    f, h, p = y
+    half = 0.5 * dt
+    f1, h1, p1 = deriv(t, f, h)
+    f2, h2, p2 = deriv(t + half, f + half * f1, h + half * h1)
+    f3, h3, p3 = deriv(t + half, f + half * f2, h + half * h2)
+    f4, h4, p4 = deriv(t + dt, f + dt * f3, h + dt * h3)
+    sixth = dt / 6.0
+    return (
+        f + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
+        h + sixth * (h1 + 2.0 * h2 + 2.0 * h3 + h4),
+        p + sixth * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
+    )
 
 
 def _require(obj, name: str, ok, rule: str) -> None:
@@ -155,28 +179,31 @@ def integrate_hierarchy(
     pulse.check_grid(t_start, dt)
     steps, times = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
     # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
-    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))
+    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1)).tolist()
     half_steps = 2.0 / dt
     delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he
-    m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
-    source = -np.sqrt(params.eta) * np.sqrt(gamma_fg)
-
-    def deriv(t, y):
-        out = np.empty_like(y)
-        out[0] = m_ff * y[0] + m_fh * y[1] + source * xi[round((t - t_start) * half_steps)]
-        out[1] = m_fh * y[0] + m_hh * y[1]
-        out[2] = gamma_he * abs(y[1]) ** 2
-        return out
-
     cells = np.broadcast(delta_pp, gamma_fg, gamma_he).shape
+    source = -np.sqrt(params.eta) * np.sqrt(gamma_fg)
+    if not cells:  # one cell steps on Python numbers
+        delta_pp, gamma_fg, gamma_he, source = (float(v) for v in (delta_pp, gamma_fg, gamma_he, source))
+    m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
+
+    def deriv(t, f, h):
+        return (
+            m_ff * f + m_fh * h + source * xi[round((t - t_start) * half_steps)],
+            m_fh * f + m_hh * h,
+            gamma_he * abs(h) ** 2,
+        )
+
     samples = np.zeros((steps.size, 3) + cells, dtype=complex)
-    y = samples[0]
+    zero = np.zeros(cells)
+    y = (zero + 0j, zero + 0j, zero) if cells else (0j, 0j, 0.0)
     for k in range(1, steps.size):
         for i in range(steps[k - 1], steps[k]):
             y = rk4_step(y, t_start + i * dt, dt, deriv)
         samples[k] = y
-        pe = y[2].real
-        pg = 1.0 - abs(y[0]) ** 2 - abs(y[1]) ** 2 - pe
+        pe = samples[k, 2].real
+        pg = 1.0 - abs(samples[k, 0]) ** 2 - abs(samples[k, 1]) ** 2 - pe
         ok = (np.minimum(pe, pg) >= -POPULATION_TOL) & (np.maximum(pe, pg) <= 1.0 + POPULATION_TOL)
         if not np.all(ok):  # NaN fails both comparisons
             cell = np.unravel_index(np.argmin(ok), cells)

@@ -7,7 +7,8 @@ of the LmgParams with B_x scaled by P_e. The evolution is strictly
 unitary (pure-state propagation; the amplifier dissipator is absent) on the
 banded Hamiltonian: fixed-step RK4 while the drive moves, and once P_e(t)
 has taken its final value, one Chebyshev series for exp(-i H tau) per
-stored stride of the then constant H. The ground energy is subtracted before
+stored stride of the then constant H, sized on the Gershgorin interval of
+the levels that stride runs on. The ground energy is subtracted before
 propagation - a global phase - so the fast phase winding of the low-lying
 manifold eats neither the RK4 error budget nor Chebyshev terms.
 
@@ -27,6 +28,7 @@ there stays within RK4_STABLE; evolve checks this before every group.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +76,13 @@ def sample_plan(t_start: float, t_end: float, dt: float, sample_every: int, snap
 @dataclass(frozen=True)
 class DriveSchedule:
     """P_e samples; linear interpolation between samples, constant
-    extrapolation at the ends."""
+    extrapolation at the ends.
+
+    pe_at(t) takes one float and returns numpy.interp(t, times, pe) to the
+    last bit: it finds the interval by bisect over Python-float copies of the
+    samples, made once here, and applies numpy.interp's own formula, at a
+    fraction of a numpy call's cost per lookup.
+    """
 
     times: np.ndarray
     pe: np.ndarray
@@ -93,9 +101,17 @@ class DriveSchedule:
             raise ValueError("pe samples must lie in [0, 1]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "pe", pe)
+        object.__setattr__(self, "_samples", (times.tolist(), pe.tolist()))
 
-    def pe_at(self, t):
-        return np.interp(t, self.times, self.pe)
+    def pe_at(self, t: float) -> float:
+        times, pe = self._samples
+        j = bisect_right(times, t) - 1  # times[j] <= t < times[j + 1]
+        if j < 0:
+            return pe[0]
+        if j >= len(times) - 1 or times[j] == t:
+            return pe[j]
+        slope = (pe[j + 1] - pe[j]) / (times[j + 1] - times[j])
+        return slope * (t - times[j]) + pe[j]
 
 
 @dataclass(frozen=True)
@@ -162,27 +178,25 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
     Bessel-function coefficients (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984)).
 
-    H - e0 is mapped onto [-1, 1] through its Gershgorin interval, from
-    h.row_radius() as in BandedHermitianOperator.norm_upper_bound, so every
-    T_k(H~) psi stays bounded by |psi|. With x = half-width * tau,
-    exp(-i (H - e0) tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
-    cut at SERIES_CUT; the coefficients are kept per distinct n_steps.
-
     psi must be zero outside [lo, hi). Each term is one product with H, which
-    widens the support by h.bandwidth levels, so step runs the series on
-    [lo, hi) plus h.bandwidth levels per term, with H's bands cut to that
-    slice, writes the result back into psi and returns the slice as (a, b).
-    The scratch is a few vectors of the slice's length.
+    widens the support by h.bandwidth levels, so a series of K terms runs on
+    [lo, hi) plus K h.bandwidth levels, with H's bands cut to that slice.
+    Each stride maps H - e0 on its slice onto [-1, 1] through the Gershgorin
+    interval of the slice's rows, from h.row_radius() as in
+    BandedHermitianOperator.norm_upper_bound, so every T_k(H~) psi stays
+    bounded by |psi|. With x = half-width * tau,
+    exp(-i (H - e0) tau) = exp(-i mid tau) sum_k (2 - delta_k0) (-i)^k J_k(x) T_k(H~),
+    cut at SERIES_CUT. The interval and K form a fixed point: starting from
+    the previous stride's K, the slice widens until the K its interval needs
+    fits its reach, and the coefficients are those of the stride's own
+    interval. step writes the result back into psi and returns the slice as
+    (a, b). The scratch is a few vectors of the slice's length.
     """
     n = h.dimension
     diag = h.bands[0] - e0
     radius = h.row_radius()
-    lo, hi = float((diag - radius).min()), float((diag + radius).max())
-    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-    # twice H~ = (H - mid) / half, complex so no product casts its operands
-    d2 = (2.0 / half * (diag - mid)).astype(complex)
-    u2 = (2.0 / half * h.bands[1][: n - 1]).astype(complex)
-    v2 = (2.0 / half * h.bands[2][: n - 2]).astype(complex)
+    lower, upper = diag - radius, diag + radius
+    terms = 0  # the previous stride's K
 
     def twice_scaled(psi, prev, d, u, v):
         """2 H~ psi - prev on a slice whose bands are (d, u, v)."""
@@ -195,30 +209,40 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
         out[2:] += v * psi[: m - 2]
         return out
 
-    coefficients = {}
-
-    def series(n_steps):
-        tau = n_steps * dt
+    def series(a, b, tau):
+        """The coefficients on the Gershgorin interval of rows [a, b), and its midpoint and half-width."""
+        e_lo, e_hi = float(lower[a:b].min()), float(upper[a:b].max())
+        mid, half = (e_hi + e_lo) / 2.0, (e_hi - e_lo) / 2.0
         x = half * tau
         k = np.arange(2 * int(x) + 64)  # past k = 2x, |J_k(x)| < exp(-0.45 k): the cut lies inside
         bessel = jv(k, x)
         cut = int(np.flatnonzero((k > max(x, 1.0)) & (np.abs(bessel) < SERIES_CUT))[0])
         c = 2.0 * np.array([1.0, -1j, -1.0, 1j])[k[:cut] % 4] * bessel[:cut]
         c[0] /= 2.0
-        return np.exp(-1j * mid * tau) * c
+        return np.exp(-1j * mid * tau) * c, mid, half
 
     def step(psi, n_steps, lo, hi):
-        if n_steps not in coefficients:
-            coefficients[n_steps] = series(n_steps)
-        c = coefficients[n_steps]
-        reach = h.bandwidth * c.size
+        nonlocal terms
+        tau = n_steps * dt
+        while True:
+            reach = h.bandwidth * terms
+            c, mid, half = series(max(lo - reach, 0), min(hi + reach, n), tau)
+            fits = c.size <= terms
+            terms = c.size
+            if fits:
+                break
+        reach = h.bandwidth * terms
         a, b = max(lo - reach, 0), min(hi + reach, n)
-        bands = d2[a:b], u2[a : b - 1], v2[a : b - 2]
+        # twice H~ = (H - mid) / half, complex so no product casts its operands
+        scale = 2.0 / half
+        d = (scale * (diag[a:b] - mid)).astype(complex)
+        u = (scale * h.bands[1][a : b - 1]).astype(complex)
+        v = (scale * h.bands[2][a : b - 2]).astype(complex)
         window = psi[a:b]
-        prev, cur = window, 0.5 * twice_scaled(window, np.zeros_like(window), *bands)
+        prev, cur = window, 0.5 * twice_scaled(window, np.zeros_like(window), d, u, v)
         out = c[0] * prev + c[1] * cur
         for ck in c[2:]:
-            prev, cur = cur, twice_scaled(cur, prev, *bands)
+            prev, cur = cur, twice_scaled(cur, prev, d, u, v)
             out += ck * cur
         psi[a:b] = out
         return a, b
@@ -254,7 +278,8 @@ def evolve(
     Up to k_flat, the first stored sample at or after flat_drive_start(drive),
     evolve takes one rk4_step per step of dt, each with four pe_at calls.
     After k_flat the Hamiltonian is constant, and each stride between stored
-    samples is one exp(-i (H - E0) tau) from _chebyshev_propagator; the drive
+    samples is one exp(-i (H - E0) tau) from _chebyshev_propagator, a series
+    on the Gershgorin interval of the stride's own slice of levels; the drive
     is not looked up again.
 
     Every TRIM_EVERY RK4 steps, and before each Chebyshev stride, _trim cuts

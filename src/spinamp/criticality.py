@@ -126,9 +126,11 @@ def field_sweep(params: LmgParams, bx_values: Sequence[float]) -> list[SweepPoin
 def fit_power_law(points, window) -> ScalingFit:
     """Fit y = A x^p over the points whose x falls inside the window.
 
-    Raises InsufficientDataError when the window holds fewer than three
-    distinct x, and ValueError (listing offenders) for nonpositive or
-    non-finite values in the window.
+    Raises InsufficientDataError when the window holds fewer than three x
+    apart in log x by more than rounding, 4 ulps of the largest |log x|:
+    each log is rounded within about an ulp, so a fit over x closer than
+    that fits the rounding, not a power law. Raises ValueError (listing
+    offenders) for nonpositive or non-finite values in the window.
     """
     lo, hi = window
     if not lo < hi:
@@ -138,12 +140,15 @@ def fit_power_law(points, window) -> ScalingFit:
     bad = [(x, y) for x, y in inside if not (0.0 < x < math.inf and 0.0 < y < math.inf)]  # NaN fails
     if bad:
         raise ValueError(f"nonpositive or non-finite values inside fit window: {bad}")
-    distinct = len({x for x, _ in inside})
-    if distinct < 3:
-        raise InsufficientDataError(
-            f"need >= 3 points inside window {window}, found {len(inside)} at {distinct} distinct x"
-        )
     lx = np.log([x for x, _ in inside])
+    gaps = np.diff(np.sort(lx))
+    resolved = int(np.count_nonzero(gaps > 4.0 * np.spacing(np.abs(lx).max()))) + 1 if lx.size else 0
+    if resolved < 3:
+        distinct = len({x for x, _ in inside})
+        raise InsufficientDataError(
+            f"need >= 3 points inside window {window}, found {len(inside)} at {distinct} distinct x, "
+            f"{resolved} apart in log x by more than rounding"
+        )
     ly = np.log([y for _, y in inside])
     design = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)

@@ -203,8 +203,10 @@ def _tag(value: float) -> str:
 
 
 def _grid_rows(x, y, values):
-    """Rows (x[i], y[j], values[i, j]), x-major."""
-    return zip(np.repeat(x, y.size), np.tile(y, x.size), values.ravel())
+    """Rows (x[i], y[j], values[i, j]), x-major; each x and y is formatted
+    once, and write_csv passes the strings through."""
+    xs, ys = [_fmt(v) for v in x], [_fmt(v) for v in y]
+    return zip([s for s in xs for _ in ys], ys * len(xs), values.ravel())
 
 
 @contextlib.contextmanager
@@ -228,8 +230,7 @@ def _run_fig2(cfg, run):
         with run.stage(f"dynamics-jx={_exact(params.jx)}") as record:
             traj = _amplify(cfg, drive, params, record)
             gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
-            pe = drive.pe_at(traj.times)
-            rows = zip(traj.times, pe, traj.sx2, traj.sy2, gain.gain)
+            rows = zip(traj.times, map(drive.pe_at, traj.times), traj.sx2, traj.sy2, gain.gain)
             run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
             curves.append((traj.times, gain.gain, f"jx={_exact(params.jx)}", "line"))
     run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)

@@ -1,5 +1,5 @@
-"""Fixed-step classical RK4 for the small dense integrations in this package,
-and the sample grid both integrators store on."""
+"""Fixed-step classical RK4 on one array, which the amplifier takes while its
+drive moves, and the sample grid both integrators store on."""
 
 from __future__ import annotations
 
@@ -11,12 +11,26 @@ class IntegrationError(RuntimeError):
 
 
 def rk4_step(y, t, dt, rhs):
-    """One classical Runge-Kutta step of dy/dt = rhs(t, y)."""
+    """One classical Runge-Kutta step of dy/dt = rhs(t, y) for an array y.
+
+    rhs must return a new array each call: the sum k1 + 2 k2 + 2 k3 + k4 is
+    formed in place in k1, with the operations and their order of
+    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), so the result is that one's to
+    the last bit.
+    """
+    half = 0.5 * dt
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k1)
-    k3 = rhs(t + 0.5 * dt, y + (0.5 * dt) * k2)
+    k2 = rhs(t + half, y + half * k1)
+    k3 = rhs(t + half, y + half * k2)
     k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 *= 2.0
+    k1 += k2
+    k3 *= 2.0
+    k1 += k3
+    k1 += k4
+    k1 *= dt / 6.0
+    k1 += y
+    return k1
 
 
 def step_count(t_start: float, t_end: float, dt: float) -> int:

@@ -1,14 +1,17 @@
 """Constructions only the tests use: a zero drive, dense matrices, coherent
 states, the analytic J_x = J_y spectrum, a pulse's norm on a grid, a
-Q-function's norm and plane masses, and the full-space Dicke basis and Kronecker-sum
-collective operators the 2^N oracle is checked against."""
+Q-function's norm and plane masses, the full-space Dicke basis and Kronecker-sum
+collective operators the 2^N oracle is checked against, the absorber stepped
+as one array, and the Chebyshev series on the whole Hamiltonian's interval."""
 
 import numpy as np
+from scipy.special import jv
 
-from spinamp.absorber import PulseEnvelope
-from spinamp.amplifier_dynamics import DriveSchedule, QFunctionGrid
+from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope
+from spinamp.amplifier_dynamics import SERIES_CUT, DriveSchedule, QFunctionGrid
 from spinamp.dicke import BandedHermitianOperator, DickeSpace, coherent_log_magnitudes
 from spinamp.lmg_statics import LmgParams
+from spinamp.stepping import rk4_step, sample_grid
 
 
 def zero_drive(t_start: float, t_end: float) -> DriveSchedule:
@@ -126,3 +129,84 @@ def kronecker_collective_operators(n_qubits: int):
         isy += _site_operator(_ISY, j, n) / 2.0
         sz += _site_operator(_SZ, j, n) / 2.0
     return sx, isy, sz
+
+
+def array_amplitudes(params: AbsorberParams, pulse: PulseEnvelope, t_start: float, t_end: float, dt: float):
+    """The absorber's y = (psi_f, psi_h, P_e) as one complex array of shape
+    (3, *cells), stepped by stepping.rk4_step with the derivative that fills
+    np.empty_like(y); the samples on integrate_hierarchy's grid, (n_samples, 3, *cells)."""
+    steps, _ = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
+    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))
+    half_steps = 2.0 / dt
+    delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he
+    m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
+    source = -np.sqrt(params.eta) * np.sqrt(gamma_fg)
+
+    def deriv(t, y):
+        out = np.empty_like(y)
+        out[0] = m_ff * y[0] + m_fh * y[1] + source * xi[round((t - t_start) * half_steps)]
+        out[1] = m_fh * y[0] + m_hh * y[1]
+        out[2] = gamma_he * abs(y[1]) ** 2
+        return out
+
+    cells = np.broadcast(delta_pp, gamma_fg, gamma_he).shape
+    samples = np.zeros((steps.size, 3) + cells, dtype=complex)
+    y = samples[0]
+    for k in range(1, steps.size):
+        for i in range(steps[k - 1], steps[k]):
+            y = rk4_step(y, t_start + i * dt, dt, deriv)
+        samples[k] = y
+    return samples
+
+
+def whole_interval_propagator(h: BandedHermitianOperator, e0: float, dt: float):
+    """amplifier_dynamics._chebyshev_propagator's step with every series on the
+    Gershgorin interval of the whole H - e0, one coefficient set per distinct
+    stride length; the same cut and the same slice per term."""
+    n = h.dimension
+    diag = h.bands[0] - e0
+    radius = h.row_radius()
+    lo, hi = float((diag - radius).min()), float((diag + radius).max())
+    mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+    d2 = (2.0 / half * (diag - mid)).astype(complex)
+    u2 = (2.0 / half * h.bands[1][: n - 1]).astype(complex)
+    v2 = (2.0 / half * h.bands[2][: n - 2]).astype(complex)
+
+    def twice_scaled(psi, prev, d, u, v):
+        m = psi.size
+        out = d * psi - prev
+        out[: m - 1] += u * psi[1:]
+        out[1:] += u * psi[: m - 1]
+        out[: m - 2] += v * psi[2:]
+        out[2:] += v * psi[: m - 2]
+        return out
+
+    coefficients = {}
+
+    def series(n_steps):
+        tau = n_steps * dt
+        x = half * tau
+        k = np.arange(2 * int(x) + 64)
+        bessel = jv(k, x)
+        cut = int(np.flatnonzero((k > max(x, 1.0)) & (np.abs(bessel) < SERIES_CUT))[0])
+        c = 2.0 * np.array([1.0, -1j, -1.0, 1j])[k[:cut] % 4] * bessel[:cut]
+        c[0] /= 2.0
+        return np.exp(-1j * mid * tau) * c
+
+    def step(psi, n_steps, lo, hi):
+        if n_steps not in coefficients:
+            coefficients[n_steps] = series(n_steps)
+        c = coefficients[n_steps]
+        reach = h.bandwidth * c.size
+        a, b = max(lo - reach, 0), min(hi + reach, n)
+        bands = d2[a:b], u2[a : b - 1], v2[a : b - 2]
+        window = psi[a:b]
+        prev, cur = window, 0.5 * twice_scaled(window, np.zeros_like(window), *bands)
+        out = c[0] * prev + c[1] * cur
+        for ck in c[2:]:
+            prev, cur = cur, twice_scaled(cur, prev, *bands)
+            out += ck * cur
+        psi[a:b] = out
+        return a, b
+
+    return step

@@ -5,8 +5,8 @@ from scipy.special import wofz
 
 from spinamp import absorber
 from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope, integrate_hierarchy
-from spinamp.stepping import IntegrationError, rk4_step
-from helpers import norm_on_grid
+from spinamp.stepping import IntegrationError
+from helpers import array_amplitudes, norm_on_grid
 
 RIDGE = dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
 PULSE = PulseEnvelope(tau_f=1.0)
@@ -134,8 +134,9 @@ def test_population_guard_trips_on_nan(monkeypatch):
     step = absorber.rk4_step
 
     def nan_in_last_cell(y, t, dt, deriv):
-        y = step(y, t, dt, deriv)
-        y.reshape(3, -1)[:, -1] = np.nan
+        y = tuple(np.array(c) for c in step(y, t, dt, deriv))
+        for c in y:
+            c.reshape(-1)[-1] = np.nan
         return y
 
     monkeypatch.setattr(absorber, "rk4_step", nan_in_last_cell)
@@ -144,6 +145,23 @@ def test_population_guard_trips_on_nan(monkeypatch):
     d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0], indexing="ij")
     with pytest.raises(IntegrationError, match=r"P_e = nan.* = \(10\.0, 20\.0, 20\.0\), t = -4\.9000"):
         integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, -4.9, dt=1e-2)
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["cell", "grid"])
+def test_step_matches_array_rk4_bit_for_bit(grid):
+    """The three-number rk4_step, on Python numbers for one cell and on arrays
+    for a 2 x 3 grid, against stepping.rk4_step on y as one complex array
+    (helpers.array_amplitudes): every stored sample to the last bit."""
+    if grid:
+        d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0, 40.0], indexing="ij")
+        params = AbsorberParams(d, g, 20.0, eta=0.6)
+    else:
+        params = AbsorberParams(**RIDGE, eta=0.6)
+    trace = integrate_hierarchy(params, PULSE, -5.0, 3.0, 1e-3)
+    samples = array_amplitudes(params, PULSE, -5.0, 3.0, 1e-3)
+    assert np.array_equal(trace.states, samples[:, :2])
+    assert np.array_equal(trace.pe, samples[:, 2].real)
+    assert np.all(samples[:, 2].imag == 0.0)
 
 
 def test_pulse_norm_on_grid():

@@ -21,7 +21,14 @@ from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
 from spinamp.stepping import IntegrationError, rk4_step, sample_grid
-from helpers import azimuthal_plane_mass, coherent_amplitudes, densify, q_norm_integral, zero_drive
+from helpers import (
+    azimuthal_plane_mass,
+    coherent_amplitudes,
+    densify,
+    q_norm_integral,
+    whole_interval_propagator,
+    zero_drive,
+)
 
 BIAS = dict(jx=0.675, jy=0.7)
 
@@ -174,6 +181,41 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
     assert np.abs(traj.sy2 - ref.sy2).max() / ref.sy2.min() < 1e-10
     g, g_ref = quantum_gain(traj).g_max, quantum_gain(ref).g_max
     assert abs(g - g_ref) / g_ref < 1e-12
+
+
+def test_pe_at_is_np_interp_bit_for_bit(registry_drive):
+    """pe_at(t) equals numpy.interp(t, times, pe) to the last bit: at every
+    sample time and midpoint, at random times, before the first sample and at
+    and after the last."""
+    times, pe = registry_drive.times, registry_drive.pe
+    probes = np.concatenate(
+        [
+            times,
+            (times[1:] + times[:-1]) / 2.0,
+            np.random.default_rng(7).uniform(times[0], times[-1], 20000),
+            [times[0] - 1.0, np.nextafter(times[0], -np.inf), np.nextafter(times[-1], np.inf), times[-1] + 1.0],
+        ]
+    )
+    got = np.array([registry_drive.pe_at(float(t)) for t in probes])
+    assert np.array_equal(got, np.interp(probes, times, pe))
+
+
+@pytest.mark.parametrize("n_qubits", [400, 1600])
+def test_window_interval_series_matches_whole_interval(registry_drive, monkeypatch, n_qubits):
+    """Each Chebyshev stride on its slice's own Gershgorin interval against
+    the series on the whole H's interval (helpers.whole_interval_propagator),
+    non-critical bias, whose window is the wider, over -5..12 (t_flat = 7.8):
+    the RK4 stretch bit for bit, then sx2 and sy2 within 1e-12 relative,
+    rounding of two series that both converge to SERIES_CUT."""
+    params = LmgParams(n_qubits=n_qubits, jx=0.5, jy=0.7, bx=0.01)
+    traj = evolve(params, registry_drive, -5.0, 12.0, 1e-3, 25)
+    monkeypatch.setattr(amplifier_dynamics, "_chebyshev_propagator", whole_interval_propagator)
+    ref = evolve(params, registry_drive, -5.0, 12.0, 1e-3, 25)
+    k_flat = int(np.searchsorted(traj.times, flat_drive_start(registry_drive)))
+    assert k_flat < traj.times.size - 100
+    assert np.array_equal(traj.sx2[: k_flat + 1], ref.sx2[: k_flat + 1])
+    assert np.abs(traj.sx2 / ref.sx2 - 1.0).max() < 1e-12
+    assert np.abs(traj.sy2 / ref.sy2 - 1.0).max() < 1e-12
 
 
 def full_space_reference(params, drive, ground, t_start, t_end, dt, every):

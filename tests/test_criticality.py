@@ -58,6 +58,15 @@ def test_fit_power_law_errors():
         fit_power_law([(1.0, 1.0)], (2.0, 1.0))
 
 
+def test_fit_power_law_refuses_fields_only_ulps_apart():
+    # three distinct fields two ulps apart in all: their logs differ by less
+    # than an ulp of |log x|, and exact y = 1e-3 / x used to fit exponent -0.299, r^2 -2.0
+    xs = np.geomspace(5e-5, 5.0000000000000016e-5, 3)
+    assert len(set(xs)) == 3
+    with pytest.raises(InsufficientDataError, match="found 3 at 3 distinct x, 1 apart in log x"):
+        fit_power_law(list(zip(xs, 1e-3 / xs)), (1e-6, 1e-4))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_fit_power_law_rejects_non_finite_y(bad):
     # a NaN used to pass the positivity filter and fit a NaN exponent; inf warned in log

@@ -620,3 +620,5 @@ def test_compare_runs_matches_reruns_and_names_an_edited_column(tmp_path):
     code, out = _compare_runs(tmp_path / "a", tmp_path / "b")
     assert code == 1
     assert "absorption.csv: sha256 differs\n  t: unchanged\n  pe: largest relative change 1.00e-06\n" in out
+    # the same change over the column's largest entry: pe rises to its last row
+    assert "  pe: largest relative change 1.00e-06\n  pe: largest change 1.00e-06 of the column's largest |a|\n" in out

@@ -9,7 +9,9 @@ sha256, hashed from the files themselves rather than read from the
 manifests; the same config_text apart from the [output] directory line; and
 the same stage names. For a CSV whose bytes differ, each column's largest
 relative change |b - a| / max(|a|, |b|) is printed, 0 where both are 0 and
-inf where either is not finite. The exit status is 0 when everything
+inf where either is not finite; a changed column gets a second line, its
+largest |b - a| over the column's largest |a|, so that a change to entries
+near zero reads against the column's scale. The exit status is 0 when everything
 matches, 1 when anything differs and 2 when A or B is not given. Standard
 library and numpy only.
 """
@@ -48,18 +50,22 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return (rows[0], rows[1:]) if rows else ([], [])
 
 
-def relative_change(col_a: list[str], col_b: list[str]) -> float:
-    """The largest |b - a| / max(|a|, |b|) over the entries that differ as text."""
+def column_change(col_a: list[str], col_b: list[str]) -> tuple[float, float]:
+    """Over the entries that differ as text: the largest |b - a| / max(|a|, |b|),
+    and the largest |b - a| relative to the largest |a| of the whole column."""
+    a_all = np.array(col_a, dtype=float)
     differ = np.array([p != q for p, q in zip(col_a, col_b)])
-    a = np.array(col_a, dtype=float)[differ]
+    a = a_all[differ]
     b = np.array(col_b, dtype=float)[differ]
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = np.abs(b - a) / np.maximum(np.abs(a), np.abs(b))
-    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
+        scaled = np.abs(b - a).max(initial=0.0) / np.abs(a_all).max(initial=0.0)
+    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0)), float(np.nan_to_num(scaled, nan=np.inf))
 
 
 def column_changes(path_a: Path, path_b: Path) -> list[str]:
-    """One line per column of two CSVs with its largest relative change."""
+    """Lines for each column of two CSVs: its largest relative change and,
+    for a changed column, its largest change scaled by the column's largest |a|."""
     head_a, rows_a = read_csv(path_a)
     head_b, rows_b = read_csv(path_b)
     if head_a != head_b or len(rows_a) != len(rows_b):
@@ -74,10 +80,13 @@ def column_changes(path_a: Path, path_b: Path) -> list[str]:
             lines.append(f"{name}: unchanged")
             continue
         try:
-            lines.append(f"{name}: largest relative change {relative_change(col_a, col_b):.2e}")
+            rel, scaled = column_change(col_a, col_b)
         except ValueError:
             changed = sum(p != q for p, q in zip(col_a, col_b))
             lines.append(f"{name}: text differs in {changed} of {len(col_a)} rows")
+            continue
+        lines.append(f"{name}: largest relative change {rel:.2e}")
+        lines.append(f"{name}: largest change {scaled:.2e} of the column's largest |a|")
     return lines
 
 
