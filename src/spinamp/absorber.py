@@ -30,7 +30,9 @@ of them alike: a grid (figS2's (delta_pp, gamma) map) is an AbsorberParams
 whose fields are arrays, and every cell is the same three-number ODE. The
 module's rk4_step steps y = (psi_f, psi_h, P_e) as three numbers: Python
 complex and float for one cell, arrays of the cell shape for a grid, with
-the same operations in the same order either way.
+the same operations in the same order either way. The run's time grid is a
+stepping.TimeGrid; the absorber stores on it every SAMPLE_EVERY steps,
+whatever the grid's own sample_every.
 """
 
 from __future__ import annotations
@@ -40,25 +42,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepping import IntegrationError, sample_grid
+from .stepping import IntegrationError, TimeGrid
 
 SAMPLE_EVERY = 10  # RK4 steps per stored sample
 POPULATION_TOL = 1e-5  # P_e and p_g must stay in [-tol, 1 + tol]
 
 
-def rk4_step(y, t, dt, deriv):
-    """One classical RK4 step of y = (psi_f, psi_h, P_e).
+def rk4_step(y, j, dt, deriv):
+    """One classical RK4 step of y = (psi_f, psi_h, P_e) from half-step j.
 
-    deriv(t, psi_f, psi_h) returns the three rates; P_e enters none of them.
-    Each component takes the operations of stepping.rk4_step in its order,
-    so a cell steps to the same bits as there.
+    deriv(j, psi_f, psi_h) returns the three rates at t_start + j dt / 2; P_e
+    enters none of them. The step from step i starts at j = 2 i and calls
+    deriv at j, twice at j + 1 and at j + 2. Each component takes the
+    operations of stepping.rk4_step in its order, so a cell steps to the
+    same bits as there.
     """
     f, h, p = y
     half = 0.5 * dt
-    f1, h1, p1 = deriv(t, f, h)
-    f2, h2, p2 = deriv(t + half, f + half * f1, h + half * h1)
-    f3, h3, p3 = deriv(t + half, f + half * f2, h + half * h2)
-    f4, h4, p4 = deriv(t + dt, f + dt * f3, h + dt * h3)
+    f1, h1, p1 = deriv(j, f, h)
+    f2, h2, p2 = deriv(j + 1, f + half * f1, h + half * h1)
+    f3, h3, p3 = deriv(j + 1, f + half * f2, h + half * h2)
+    f4, h4, p4 = deriv(j + 2, f + dt * f3, h + dt * h3)
     sixth = dt / 6.0
     return (
         f + sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4),
@@ -95,17 +99,17 @@ class PulseEnvelope:
         _require_finite(self)
         _require(self, "tau_f", lambda v: v > 0.0, "must be positive")
 
-    def check_grid(self, t_start: float, dt: float) -> None:
-        """A run starts in the pulse's vacuum tail, t_start <= t_arrival - 5 tau_f,
+    def check_grid(self, grid: TimeGrid) -> None:
+        """A run on grid starts in the pulse's vacuum tail, t_start <= t_arrival - 5 tau_f,
         and its step resolves the envelope, dt <= tau_f / 100."""
         latest = self.t_arrival - 5.0 * self.tau_f
-        if t_start > latest:
+        if grid.t_start > latest:
             raise ValueError(
-                f"t_start = {t_start:.15g} is later than "
+                f"t_start = {grid.t_start:.15g} is later than "
                 f"t_arrival - 5 tau_f = {latest:.15g} (pulse tail)"
             )
-        if dt > self.tau_f / 100.0:
-            raise ValueError(f"dt = {dt} exceeds tau_f / 100 = {self.tau_f / 100.0}")
+        if grid.dt > self.tau_f / 100.0:
+            raise ValueError(f"dt = {grid.dt} exceeds tau_f / 100 = {self.tau_f / 100.0}")
 
     def amplitude(self, t):
         t = np.asarray(t, dtype=float)
@@ -154,33 +158,30 @@ class TransductionTrace:
     states: np.ndarray
 
 
-def integrate_hierarchy(
-    params: AbsorberParams,
-    pulse: PulseEnvelope,
-    t_start: float,
-    t_end: float,
-    dt: float,
-) -> TransductionTrace:
-    """Propagate the amplitudes and P_e under one pulse with fixed-step RK4.
+def integrate_hierarchy(params: AbsorberParams, pulse: PulseEnvelope, grid: TimeGrid) -> TransductionTrace:
+    """Propagate the amplitudes and P_e under one pulse with fixed-step RK4 on grid.
 
-    y = (psi_f, psi_h, P_e) starts at zero. The rates of params may be
-    arrays: they broadcast into one batch of cells that share the pulse and
-    step together, each cell as it would step alone. The run must start in
-    the pulse's tail and the step must resolve the envelope
-    (PulseEnvelope.check_grid). Every SAMPLE_EVERY-th step and the
-    last one are stored (stepping.sample_grid). Raises IntegrationError,
-    naming the first failing cell's rates, t and dt, if P_e or
-    p_g = 1 - |psi|^2 - P_e leaves [-POPULATION_TOL, 1 + POPULATION_TOL].
+    y = (psi_f, psi_h, P_e) starts at zero at grid.t_start and takes steps
+    of grid.dt to grid.t_end. The rates of params may be arrays: they
+    broadcast into one batch of cells that share the pulse and step
+    together, each cell as it would step alone. The run must start in the
+    pulse's tail and the step must resolve the envelope
+    (PulseEnvelope.check_grid). Every SAMPLE_EVERY-th step and the last one
+    are stored (TimeGrid.samples); grid.sample_every is not read. The pulse
+    is looked up once, on every half step of the grid, and each rate
+    evaluation reads that table by its half-step index. Raises
+    IntegrationError, naming the first failing cell's rates, t and dt, if
+    P_e or p_g = 1 - |psi|^2 - P_e leaves [-POPULATION_TOL, 1 + POPULATION_TOL].
 
     The name predates the two-amplitude form. The trace is still the whole
     single-photon Fock hierarchy, carried by the amplitudes it closes on, and
     callers and the benchmark's tracer look the function up by this name.
     """
-    pulse.check_grid(t_start, dt)
-    steps, times = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
-    # rk4_step evaluates the drive at t, t + dt/2 and t + dt: one lookup table
-    xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1)).tolist()
-    half_steps = 2.0 / dt
+    pulse.check_grid(grid)
+    dt = grid.dt
+    steps, times = grid.samples(SAMPLE_EVERY)
+    # rk4_step evaluates the drive at half-steps j, j + 1 and j + 2: one lookup table
+    xi = pulse.amplitude(grid.t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1)).tolist()
     delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he
     cells = np.broadcast(delta_pp, gamma_fg, gamma_he).shape
     source = -np.sqrt(params.eta) * np.sqrt(gamma_fg)
@@ -188,9 +189,9 @@ def integrate_hierarchy(
         delta_pp, gamma_fg, gamma_he, source = (float(v) for v in (delta_pp, gamma_fg, gamma_he, source))
     m_ff, m_hh, m_fh = -0.5 * gamma_fg, -0.5 * gamma_he, -1j * delta_pp
 
-    def deriv(t, f, h):
+    def deriv(j, f, h):
         return (
-            m_ff * f + m_fh * h + source * xi[round((t - t_start) * half_steps)],
+            m_ff * f + m_fh * h + source * xi[j],
             m_fh * f + m_hh * h,
             gamma_he * abs(h) ** 2,
         )
@@ -200,7 +201,7 @@ def integrate_hierarchy(
     y = (zero + 0j, zero + 0j, zero) if cells else (0j, 0j, 0.0)
     for k in range(1, steps.size):
         for i in range(steps[k - 1], steps[k]):
-            y = rk4_step(y, t_start + i * dt, dt, deriv)
+            y = rk4_step(y, 2 * i, dt, deriv)
         samples[k] = y
         pe = samples[k, 2].real
         pg = 1.0 - abs(samples[k, 0]) ** 2 - abs(samples[k, 1]) ** 2 - pe

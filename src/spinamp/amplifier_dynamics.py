@@ -37,15 +37,19 @@ from scipy.special import jv
 from .dicke import (
     BandedHermitianOperator,
     DickeSpace,
+    _frozen_array,
     build_collective_operator,
     coherent_log_magnitudes,
     expectation,
 )
 from .lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from .stepping import IntegrationError, rk4_step, sample_grid, sample_index
+from .stepping import IntegrationError, TimeGrid, rk4_step, sample_index
 
-Q_THETA_POINTS = 181  # theta = 0 .. pi in 1-degree steps
-Q_PHI_POINTS = 361  # phi = 0 .. 2 pi in 1-degree steps, both ends stored
+# q_function's grid: theta = 0 .. pi and phi = 0 .. 2 pi in 1-degree steps,
+# both ends of phi stored (the same azimuth), which makes trapezoidal
+# quadrature exact for the periodic direction
+Q_THETA = _frozen_array(np.linspace(0.0, np.pi, 181))
+Q_PHI = _frozen_array(np.linspace(0.0, 2.0 * np.pi, 361))
 MAX_DT = 1e-3  # the largest RK4 step evolve takes while the drive moves
 SERIES_CUT = 1e-17  # the Chebyshev series stops at the first |J_k| below this past k = x
 # Each end of the state is trimmed while the cut keeps a norm of at most
@@ -59,16 +63,19 @@ TRIM_EVERY = 5
 RK4_STABLE = 2.0 * np.sqrt(2.0)  # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt 2
 
 
-def sample_plan(t_start: float, t_end: float, dt: float, sample_every: int, snapshots=()):
+def sample_plan(grid: TimeGrid, snapshots=()):
     """The samples evolve stores and the ones whose states it keeps: (steps, times, kept).
 
-    steps and times are stepping.sample_grid's, and kept[j] is the index of
-    the sample at snapshots[j] (stepping.sample_index). ValueError if dt
-    exceeds the propagation bound MAX_DT or a snapshot time is off the grid.
+    steps and times are grid.samples(grid.sample_every), and kept[j] is the
+    index of the sample at snapshots[j] (stepping.sample_index). ValueError
+    if grid has no sample_every, grid.dt exceeds the propagation bound
+    MAX_DT or a snapshot time is off the grid.
     """
-    if not dt <= MAX_DT + 1e-15:
-        raise ValueError(f"dt = {dt} exceeds the {MAX_DT:g} propagation bound")
-    steps, times = sample_grid(t_start, t_end, dt, sample_every)
+    if grid.sample_every is None:
+        raise ValueError("the amplifier needs a sample_every, got None")
+    if not grid.dt <= MAX_DT + 1e-15:
+        raise ValueError(f"dt = {grid.dt} exceeds the {MAX_DT:g} propagation bound")
+    steps, times = grid.samples(grid.sample_every)
     kept = np.array([sample_index(times, t) for t in snapshots], dtype=int)
     return steps, times, kept
 
@@ -250,26 +257,21 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
     return step
 
 
-def evolve(
-    params: LmgParams,
-    drive: DriveSchedule,
-    t_start: float,
-    t_end: float,
-    dt: float,
-    sample_every: int,
-    *,
-    snapshots=(),
-) -> AmplifierTrajectory:
-    """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x.
+def evolve(params: LmgParams, drive: DriveSchedule, grid: TimeGrid, *, snapshots=()) -> AmplifierTrajectory:
+    """Propagate the zero-field ground state under H_Am + 2 P_e(t) B_x S_x on grid.
 
     params is the whole amplifier: the run starts in the ground state of
-    params at bx = 0, and the drive scales params.bx by P_e(t), so H at
+    params at bx = 0 at grid.t_start and takes steps of grid.dt to
+    grid.t_end, and the drive scales params.bx by P_e(t), so H at
     drive P_e is assemble_hamiltonian of params with bx * P_e. That H at
-    zero drive gives the RK4 derivative its diagonal and pair bands, at the
+    zero drive gives the RK4 derivative its diagonal and pair bands, at
+    bx = 1 its drive band c_m, which the derivative scales by
+    params.bx * P_e(t) as H at that field would, at the
     largest drive sample the RK4 guard's bound, and at the final one the
-    operator _chebyshev_propagator exponentiates. sample_plan checks dt and
-    maps each snapshot time to its sample before any work, so a dt above
-    MAX_DT or a time off the grid is a ValueError. A sample is stored on
+    operator _chebyshev_propagator exponentiates. sample_plan checks the
+    grid and maps each snapshot time to its sample before any work, so a
+    missing sample_every, a dt above MAX_DT or a time off the grid is a
+    ValueError. A sample is stored every grid.sample_every steps, on
     sample_plan's grid, written in place into arrays sized before the first
     step: <S_x^2> and <S_y^2> at every sample, and states[j] only at
     snapshots[j]; the running state is one vector, so a run that keeps no
@@ -295,7 +297,8 @@ def evolve(
     renormalized at sample points), otherwise IntegrationError names the
     time.
     """
-    steps, times, kept = sample_plan(t_start, t_end, dt, sample_every, snapshots)
+    steps, times, kept = sample_plan(grid, snapshots)
+    t_start, dt = grid.t_start, grid.dt
     if t_start > drive.times[0]:
         raise ValueError("t_start must not be later than the first drive sample")
     k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
@@ -312,23 +315,23 @@ def evolve(
     # ground-energy shift; pure global phase
     b0 = h.bands[0] - ground.e0
     b2 = h.bands[2][: n - 2]
-    sx_band = build_collective_operator(space, "Sx").bands[1][: n - 1]  # deriv scales it by 2 B_x P_e(t)
-    two_bx = 2.0 * params.bx
+    # H's band 1 at B_x = 1 is c_m; deriv scales it by B_x P_e(t)
+    c = assemble_hamiltonian(dataclasses.replace(params, bx=1.0)).bands[1][: n - 1]
     # -i H folded into the bands: multiplying by -1j only swaps and negates
     # parts, so each product is the one of -1j * (H psi) to the last bit
-    mb0, mb2, msx = -1j * b0, -1j * b2, -1j * sx_band
+    mb0, mb2, mc = -1j * b0, -1j * b2, -1j * c
     # Gershgorin row bounds of H - E0 at the largest drive sample
     h_max = driven(drive.pe.max())
     row_bound = np.abs(b0) + h_max.row_radius()
 
     def window_deriv(a, b):
         """-i H(t) y for y on the levels [a, b)."""
-        d, s, v = mb0[a:b], msx[a : b - 1], mb2[a : b - 2]
+        d, s, v = mb0[a:b], mc[a : b - 1], mb2[a : b - 2]
         m = b - a
 
         def deriv(t, y):
             out = d * y
-            u = (two_bx * drive.pe_at(t)) * s
+            u = (params.bx * drive.pe_at(t)) * s
             out[: m - 1] += u * y[1:]
             out[1:] += u * y[: m - 1]
             out[: m - 2] += v * y[2:]
@@ -407,22 +410,9 @@ def quantum_gain(traj: AmplifierTrajectory, *, t_arrival: float = 0.0) -> GainTr
     return GainTrace(gain=gain, g_max=g_max, t_am=float(traj.times[idx] - t_arrival))
 
 
-@dataclass(frozen=True)
-class QFunctionGrid:
-    """Q(theta, phi) = ((2S+1)/4 pi) |<theta, phi|psi>|^2 on a regular grid.
-
-    phi covers a full turn with both endpoints stored (phi = 0 and 2 pi are
-    the same physical azimuth), which makes trapezoidal quadrature exact for
-    the periodic direction.
-    """
-
-    theta: np.ndarray
-    phi: np.ndarray
-    values: np.ndarray
-
-
-def q_function(state: np.ndarray) -> QFunctionGrid:
-    """Spin Q-function of a pure state on the 1-degree grid, log-stable in the
+def q_function(state: np.ndarray) -> np.ndarray:
+    """Q(theta, phi) = ((2S+1)/4 pi) |<theta, phi|psi>|^2 of a pure state on
+    the 1-degree grid: a (Q_THETA.size, Q_PHI.size) array, log-stable in the
     coherent overlaps.
 
     state is one vector of N + 1 Dicke amplitudes, which fixes N; a state of
@@ -436,12 +426,9 @@ def q_function(state: np.ndarray) -> QFunctionGrid:
     nrm = np.linalg.norm(state)
     if not abs(nrm - 1.0) <= 1e-6:
         raise ValueError(f"state is not normalized: |norm - 1| = {abs(nrm - 1.0):.3e}")
-    theta = np.linspace(0.0, np.pi, Q_THETA_POINTS)
-    phi = np.linspace(0.0, 2.0 * np.pi, Q_PHI_POINTS)
     with np.errstate(under="ignore"):
-        mag = np.exp(coherent_log_magnitudes(space, theta))  # (theta, dim)
+        mag = np.exp(coherent_log_magnitudes(space, Q_THETA))  # (theta, dim)
     k = np.arange(space.dimension)
-    phases = np.exp(-1j * np.outer(k, phi))  # (dim, phi)
+    phases = np.exp(-1j * np.outer(k, Q_PHI))  # (dim, phi)
     overlap = (mag * state[np.newaxis, :]) @ phases
-    values = (space.dimension / (4.0 * np.pi)) * np.abs(overlap) ** 2
-    return QFunctionGrid(theta=theta, phi=phi, values=values)
+    return (space.dimension / (4.0 * np.pi)) * np.abs(overlap) ** 2

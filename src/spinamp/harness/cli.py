@@ -14,13 +14,16 @@ from .oracle import brute_force_statics
 
 
 def _run_configs(args) -> list:
-    """One config per named experiment (the whole registry if none), all built before any runs."""
+    """One config per named experiment, all built before any runs. With no
+    name, the experiment that --config's [run] names, or else the whole registry."""
     names = args.experiments or list(REGISTRY)
     overrides = {}
     if args.config is not None:
+        named, overrides = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        if not args.experiments and named is not None:
+            names = [named]
         if len(names) > 1:
             raise ConfigError(f"--config applies to one experiment, got {len(names)}")
-        named, overrides = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
         if named is not None and named != names[0]:
             raise ConfigError(
                 f"config names experiment {named!r} but the command line says {names[0]!r}"
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "experiments", nargs="*", help="experiment names (see 'spinamp list'); none runs them all"
     )
-    p_run.add_argument("--config", help="sectioned key=value config file (one experiment only)")
+    p_run.add_argument("--config", help="sectioned key=value config file (one experiment, by default its [run] one)")
     p_run.add_argument(
         "--out", help="output directory (overrides config); with several experiments, OUT/<name>"
     )

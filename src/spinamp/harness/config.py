@@ -5,8 +5,9 @@ one section per parameter group. Unknown sections or keys are errors, not
 warnings; a silent typo would corrupt a physics run. An experiment takes
 exactly the sections and keys its registry defaults set: a section or field
 left None there is not taken (see ``untaken``). [pulse] and [absorber] parse
-straight into the absorber's PulseEnvelope and AbsorberParams, whose own
-checks run as the config is built.
+straight into the absorber's PulseEnvelope and AbsorberParams, and
+[integration] into stepping.TimeGrid, the grid both integrators take; their
+own checks run as the config is built.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..absorber import AbsorberParams, PulseEnvelope
 from ..lmg_statics import LmgParams
-from ..stepping import step_count
+from ..stepping import TimeGrid
 
 
 class ConfigError(ValueError):
@@ -74,21 +75,6 @@ class SweepSection:
 
 
 @dataclass(frozen=True)
-class IntegrationSection:
-    dt: float
-    t_start: float
-    t_end: float
-    sample_every: int | None = None
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.sample_every is not None and self.sample_every < 1:
-            raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
-        step_count(self.t_start, self.t_end, self.dt)
-
-
-@dataclass(frozen=True)
 class OutputSection:
     directory: str = "."
     emit_svg: bool = False
@@ -102,7 +88,7 @@ class ExperimentConfig:
     pulse: PulseEnvelope | None = None
     absorber: AbsorberParams | None = None
     sweep: SweepSection | None = None
-    integration: IntegrationSection | None = None
+    integration: TimeGrid | None = None
     output: OutputSection = OutputSection()
 
 

@@ -23,15 +23,15 @@ import numpy as np
 
 from .. import __version__
 from ..absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
-from ..amplifier_dynamics import DriveSchedule, evolve, q_function, quantum_gain, sample_plan
+from ..amplifier_dynamics import Q_PHI, Q_THETA, DriveSchedule, evolve, q_function, quantum_gain, sample_plan
 from ..criticality import ScalingFit, SizePoint, SweepPoint, field_sweep, fit_power_law, size_sweep
 from ..lmg_statics import LmgParams
+from ..stepping import TimeGrid
 from . import svgplot
 from .config import (
     ConfigError,
     CouplingSection,
     ExperimentConfig,
-    IntegrationSection,
     ModelSection,
     SweepSection,
     serialize_config,
@@ -159,8 +159,7 @@ ABSORPTION_CSV = ("t", "pe")
 
 
 def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
-    grid = cfg.integration
-    trace = integrate_hierarchy(cfg.absorber, cfg.pulse, grid.t_start, grid.t_end, dt=grid.dt)
+    trace = integrate_hierarchy(cfg.absorber, cfg.pulse, cfg.integration)
     return DriveSchedule(trace.times, trace.pe)
 
 
@@ -183,8 +182,7 @@ def _models(cfg: ExperimentConfig, values=None) -> list[LmgParams]:
 def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, record: dict, snapshots=()):
     """Amplifier trajectory of params over the configured grid, keeping the
     states at snapshots; its widest window and norm drift go into record."""
-    grid = cfg.integration
-    traj = evolve(params, drive, grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots=snapshots)
+    traj = evolve(params, drive, cfg.integration, snapshots=snapshots)
     record.update(max_window=traj.max_window, norm_drift=traj.norm_drift)
     return traj
 
@@ -245,9 +243,8 @@ def _check_driven(cfg, snapshots=()):
         for j, params in enumerate(models):
             if params in models[:j]:
                 raise ValueError(f"points {models.index(params) + 1} and {j + 1} both give {params}")
-    grid = cfg.integration
     with _refusing("integration"):
-        sample_plan(grid.t_start, grid.t_end, grid.dt, grid.sample_every, snapshots)
+        sample_plan(cfg.integration, snapshots)
 
 
 def _run_fig3(cfg, run):
@@ -259,11 +256,11 @@ def _run_fig3(cfg, run):
             traj = _amplify(cfg, drive, params, record, FIG3_SNAPSHOTS)
         with run.stage(f"qfunction-jx={_exact(jx)}"):
             for t_snap, state in zip(FIG3_SNAPSHOTS, traj.states):
-                grid = q_function(state)
+                q = q_function(state)
                 name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
-                run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(grid.theta, grid.phi, grid.values))
+                run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(Q_THETA, Q_PHI, q))
                 title = f"Q(theta, phi) at t={t_snap:g}, jx={_exact(jx)}"
-                run.heatmap(f"{name}.svg", grid.phi, grid.theta, grid.values, "phi", "theta", title)
+                run.heatmap(f"{name}.svg", Q_PHI, Q_THETA, q, "phi", "theta", title)
 
 
 def _check_fits(*windows):
@@ -332,9 +329,8 @@ def _run_fig5(cfg, run):
 
 
 def _run_figs1(cfg, run):
-    grid = cfg.integration
     with run.stage("absorber"):
-        trace = integrate_hierarchy(cfg.absorber, cfg.pulse, grid.t_start, grid.t_end, dt=grid.dt)
+        trace = integrate_hierarchy(cfg.absorber, cfg.pulse, cfg.integration)
     run.csv("absorption.csv", ABSORPTION_CSV, zip(trace.times, trace.pe))
     run.chart(
         "absorption.svg",
@@ -346,11 +342,10 @@ def _run_figs1(cfg, run):
 
 
 def _run_figs2(cfg, run):
-    grid = cfg.integration
     # one cell per (delta_pp, gamma), both decay rates set to gamma
     d, g = np.meshgrid(cfg.sweep.values(), np.linspace(5.0, 40.0, 8), indexing="ij")
     with run.stage("transduction-map"):
-        trace = integrate_hierarchy(AbsorberParams(d, g, g), cfg.pulse, grid.t_start, grid.t_end, grid.dt)
+        trace = integrate_hierarchy(AbsorberParams(d, g, g), cfg.pulse, cfg.integration)
     run.csv("transduction_map.csv", TMAP_CSV, zip(d.ravel(), g.ravel(), trace.pe_steady.ravel()))
     title = "steady transduction probability"
     run.heatmap("transduction_map.svg", g[0], d[:, 0], trace.pe_steady, "gamma", "delta_pp", title)
@@ -408,7 +403,7 @@ _DRIVEN = dict(
     coupling=CouplingSection(bx=0.01),
     pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
     absorber=AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0),
-    integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=20.0, sample_every=25),
+    integration=TimeGrid(dt=1e-3, t_start=-5.0, t_end=20.0, sample_every=25),
 )
 # Non-critical and critical J_x at N = 400; the sweep sets J_x.
 _BIAS_PAIR = dict(
@@ -460,7 +455,7 @@ REGISTRY = {
             _run_figs1,
             pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
             absorber=AbsorberParams(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=15.0),
+            integration=TimeGrid(dt=1e-3, t_start=-5.0, t_end=15.0),
         ),
         _exp(
             "figS2_transduction_map",
@@ -468,7 +463,7 @@ REGISTRY = {
             _run_figs2,
             pulse=PulseEnvelope(tau_f=1.0, t_arrival=0.0),
             sweep=SweepSection(lo=0.0, hi=20.0, points=6, spacing="linear"),
-            integration=IntegrationSection(dt=1e-3, t_start=-5.0, t_end=10.0),
+            integration=TimeGrid(dt=1e-3, t_start=-5.0, t_end=10.0),
         ),
         _exp(
             "figS3_gain_scaling",
@@ -507,7 +502,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
     if cfg.pulse is not None:  # every run with a pulse starts in its tail and resolves it
         with _refusing("integration"):
-            cfg.pulse.check_grid(cfg.integration.t_start, cfg.integration.dt)
+            cfg.pulse.check_grid(cfg.integration)
     if entry.check is not None:
         entry.check(cfg)
     out = Path(cfg.output.directory)

@@ -94,25 +94,27 @@ class CorrelationSet:
 
 
 def assemble_hamiltonian(params: LmgParams) -> BandedHermitianOperator:
-    """Real symmetric pentadiagonal amplifier Hamiltonian."""
+    """Real symmetric pentadiagonal amplifier Hamiltonian.
+
+    S_x^2 and S_y^2 share their diagonal d, and S_y^2's pair band is minus
+    S_x^2's, so one dicke S_x^2 gives both squares: band 0 is
+    eps m - (2 J_x / N) d - (2 J_y / N) d + (J_x + J_y) / 2 and band 2 is
+    -(2 / N)(J_x - J_y) times S_x^2's pair band. 2 B_x S_x puts B_x c_m on
+    band 1.
+    """
     space = params.space
     n_q = params.n_qubits
     dim = space.dimension
-    m = space.m_values()
-    c = space.ladder_coefficients()
-    s = n_q / 2.0
-    sq_diag = (s * (s + 1.0) - m * m) / 2.0  # shared diagonal of S_x^2 and S_y^2
+    sx2 = build_collective_operator(space, "Sx2").bands
     bands = np.zeros((3, dim))
     bands[0] = (
-        params.epsilon * m
-        - (2.0 * params.jx / n_q) * sq_diag
-        - (2.0 * params.jy / n_q) * sq_diag
+        params.epsilon * space.m_values()
+        - (2.0 * params.jx / n_q) * sx2[0]
+        - (2.0 * params.jy / n_q) * sx2[0]
         + (params.jx + params.jy) / 2.0
     )
-    bands[1, : dim - 1] = params.bx * c  # 2*B_x*S_x contributes B_x*c_m on the first band
-    if dim >= 3:
-        pair = c[:-1] * c[1:] / 4.0
-        bands[2, : dim - 2] = -(2.0 / n_q) * (params.jx - params.jy) * pair
+    bands[1, : dim - 1] = params.bx * space.ladder_coefficients()
+    bands[2, : dim - 2] = -(2.0 / n_q) * (params.jx - params.jy) * sx2[2, : dim - 2]
     return BandedHermitianOperator(dim, 2, bands)
 
 

@@ -1,13 +1,68 @@
-"""Fixed-step classical RK4 on one array, which the amplifier takes while its
-drive moves, and the sample grid both integrators store on."""
+"""Time grids and fixed-step classical RK4.
+
+TimeGrid is the [integration] section of a run and the grid both
+integrators step on: the absorber stores on it at its own stride, the
+amplifier at the grid's sample_every. rk4_step is the array step the
+amplifier takes while its drive moves.
+"""
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class IntegrationError(RuntimeError):
     """Integration failure; the message names the offending step size."""
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    """Steps of dt from t_start to t_end, and the stride sample_every between stored samples.
+
+    The span is round()ed to whole steps (n_steps). ValueError, naming the
+    field, if dt, t_start or t_end is not finite, dt is not positive,
+    sample_every is below 1, the step count is not finite or the span is
+    under one step. sample_every may be None for an integrator that keeps
+    its own stride.
+    """
+
+    dt: float
+    t_start: float
+    t_end: float
+    sample_every: int | None = None
+
+    def __post_init__(self):
+        for name in ("dt", "t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.dt <= 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.sample_every is not None and self.sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
+        span = (self.t_end - self.t_start) / self.dt
+        if not math.isfinite(span):
+            raise ValueError(f"the step count (t_end - t_start) / dt must be finite, got {span}")
+        if self.n_steps < 1:
+            raise ValueError("t_end must exceed t_start by at least one step")
+
+    @property
+    def n_steps(self) -> int:
+        """The span (t_end - t_start) / dt round()ed to whole steps."""
+        return int(round((self.t_end - self.t_start) / self.dt))
+
+    def samples(self, every: int):
+        """The steps and times stored every `every` steps: (steps, t_start + steps * dt).
+
+        The steps are 0, every, 2 every, ... and the last one, n_steps, which
+        is stored even when it is not a multiple of every; the gap before it
+        is then shorter than every.
+        """
+        n_steps = self.n_steps
+        steps = np.append(np.arange(0, n_steps, every), n_steps)
+        return steps, self.t_start + steps * self.dt
 
 
 def rk4_step(y, t, dt, rhs):
@@ -31,26 +86,6 @@ def rk4_step(y, t, dt, rhs):
     k1 *= dt / 6.0
     k1 += y
     return k1
-
-
-def step_count(t_start: float, t_end: float, dt: float) -> int:
-    """The span [t_start, t_end] round()ed to whole steps of dt; ValueError below one step."""
-    n_steps = int(round((t_end - t_start) / dt))
-    if n_steps < 1:
-        raise ValueError("t_end must exceed t_start by at least one step")
-    return n_steps
-
-
-def sample_grid(t_start: float, t_end: float, dt: float, every: int):
-    """The steps and times stored over [t_start, t_end]: (steps, t_start + steps * dt).
-
-    The span is step_count's. The steps are 0, every, 2 every, ... and the
-    last one, which is stored even when it is not a multiple of every; the
-    gap before it is then shorter than every.
-    """
-    n_steps = step_count(t_start, t_end, dt)
-    steps = np.append(np.arange(0, n_steps, every), n_steps)
-    return steps, t_start + steps * dt
 
 
 def sample_index(times: np.ndarray, t: float) -> int:

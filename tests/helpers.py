@@ -1,17 +1,18 @@
 """Constructions only the tests use: a zero drive, dense matrices, coherent
-states, the analytic J_x = J_y spectrum, a pulse's norm on a grid, a
-Q-function's norm and plane masses, the full-space Dicke basis and Kronecker-sum
-collective operators the 2^N oracle is checked against, the absorber stepped
-as one array, and the Chebyshev series on the whole Hamiltonian's interval."""
+states, the amplifier Hamiltonian written out term by term, the analytic
+J_x = J_y spectrum, a pulse's norm on a grid, a Q-function's norm and plane
+masses, the full-space Dicke basis and Kronecker-sum collective operators the
+2^N oracle is checked against, the absorber stepped as one array, and the
+Chebyshev series on the whole Hamiltonian's interval."""
 
 import numpy as np
 from scipy.special import jv
 
 from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope
-from spinamp.amplifier_dynamics import SERIES_CUT, DriveSchedule, QFunctionGrid
+from spinamp.amplifier_dynamics import Q_PHI, Q_THETA, SERIES_CUT, DriveSchedule
 from spinamp.dicke import BandedHermitianOperator, DickeSpace, coherent_log_magnitudes
 from spinamp.lmg_statics import LmgParams
-from spinamp.stepping import rk4_step, sample_grid
+from spinamp.stepping import TimeGrid, rk4_step
 
 
 def zero_drive(t_start: float, t_end: float) -> DriveSchedule:
@@ -45,6 +46,31 @@ def coherent_amplitudes(space: DickeSpace, theta: float, phi: float) -> np.ndarr
     return amps
 
 
+def explicit_hamiltonian(params: LmgParams) -> BandedHermitianOperator:
+    """The amplifier Hamiltonian's bands written out term by term from m and
+    c_m: the reference that lmg_statics.assemble_hamiltonian, which takes the
+    squares from dicke, must match bit for bit."""
+    space = params.space
+    n_q = params.n_qubits
+    dim = space.dimension
+    m = space.m_values()
+    c = space.ladder_coefficients()
+    s = n_q / 2.0
+    sq_diag = (s * (s + 1.0) - m * m) / 2.0  # shared diagonal of S_x^2 and S_y^2
+    bands = np.zeros((3, dim))
+    bands[0] = (
+        params.epsilon * m
+        - (2.0 * params.jx / n_q) * sq_diag
+        - (2.0 * params.jy / n_q) * sq_diag
+        + (params.jx + params.jy) / 2.0
+    )
+    bands[1, : dim - 1] = params.bx * c  # 2*B_x*S_x contributes B_x*c_m on the first band
+    if dim >= 3:
+        pair = c[:-1] * c[1:] / 4.0
+        bands[2, : dim - 2] = -(2.0 / n_q) * (params.jx - params.jy) * pair
+    return BandedHermitianOperator(dim, 2, bands)
+
+
 def solvable_line_energies(params: LmgParams) -> np.ndarray:
     """Analytic spectrum eps*m - (2J/N)[S(S+1) - m^2] + J on the line jx == jy, bx == 0."""
     if params.jx != params.jy or params.bx != 0.0:
@@ -61,14 +87,15 @@ def norm_on_grid(pulse: PulseEnvelope, times: np.ndarray) -> float:
     return float(np.trapezoid(amp * amp, times))
 
 
-def q_norm_integral(grid: QFunctionGrid) -> float:
-    """integral Q sin(theta) d(theta) d(phi) by the trapezoidal rule; 1 for a normalized state."""
-    inner = np.trapezoid(grid.values * np.sin(grid.theta)[:, None], grid.phi, axis=1)
-    return float(np.trapezoid(inner, grid.theta))
+def q_norm_integral(q: np.ndarray) -> float:
+    """integral Q sin(theta) d(theta) d(phi) of a q_function array on
+    (Q_THETA, Q_PHI) by the trapezoidal rule; 1 for a normalized state."""
+    inner = np.trapezoid(q * np.sin(Q_THETA)[:, None], Q_PHI, axis=1)
+    return float(np.trapezoid(inner, Q_THETA))
 
 
-def azimuthal_plane_mass(grid: QFunctionGrid, plane: str) -> float:
-    """Fraction of the Q-function mass with azimuth within pi/4 of a plane.
+def azimuthal_plane_mass(q: np.ndarray, plane: str) -> float:
+    """Fraction of the mass of a q_function array with azimuth within pi/4 of a plane.
 
     plane = "xz" selects phi near {0, pi}; plane = "yz" selects phi near
     {pi/2, 3 pi/2}.
@@ -80,16 +107,16 @@ def azimuthal_plane_mass(grid: QFunctionGrid, plane: str) -> float:
     else:
         raise ValueError(f"unknown plane {plane!r}; expected 'xz' or 'yz'")
     # integral Q sin(theta) d(theta) on the phi grid
-    marginal = np.trapezoid(grid.values * np.sin(grid.theta)[:, None], grid.theta, axis=0)
-    total = np.trapezoid(marginal, grid.phi)
-    mask = np.zeros_like(grid.phi, dtype=bool)
+    marginal = np.trapezoid(q * np.sin(Q_THETA)[:, None], Q_THETA, axis=0)
+    total = np.trapezoid(marginal, Q_PHI)
+    mask = np.zeros_like(Q_PHI, dtype=bool)
     for c in centers:
-        mask |= np.abs(grid.phi - c) <= np.pi / 4.0 + 1e-12
+        mask |= np.abs(Q_PHI - c) <= np.pi / 4.0 + 1e-12
     masked = np.where(mask, marginal, 0.0)
     # the trapezoids straddling a window edge keep half the boundary value;
     # on the 1-degree grid that is a ~d(phi)/2 edge effect, far below the
     # 80% thresholds this feeds
-    selected = np.trapezoid(masked, grid.phi)
+    selected = np.trapezoid(masked, Q_PHI)
     return float(selected / total)
 
 
@@ -131,11 +158,14 @@ def kronecker_collective_operators(n_qubits: int):
     return sx, isy, sz
 
 
-def array_amplitudes(params: AbsorberParams, pulse: PulseEnvelope, t_start: float, t_end: float, dt: float):
+def array_amplitudes(params: AbsorberParams, pulse: PulseEnvelope, grid: TimeGrid):
     """The absorber's y = (psi_f, psi_h, P_e) as one complex array of shape
     (3, *cells), stepped by stepping.rk4_step with the derivative that fills
-    np.empty_like(y); the samples on integrate_hierarchy's grid, (n_samples, 3, *cells)."""
-    steps, _ = sample_grid(t_start, t_end, dt, SAMPLE_EVERY)
+    np.empty_like(y) and finds the pulse's half step by rounding the time t,
+    apart from the absorber's index arithmetic; the samples on
+    integrate_hierarchy's grid, (n_samples, 3, *cells)."""
+    t_start, dt = grid.t_start, grid.dt
+    steps, _ = grid.samples(SAMPLE_EVERY)
     xi = pulse.amplitude(t_start + 0.5 * dt * np.arange(2 * steps[-1] + 1))
     half_steps = 2.0 / dt
     delta_pp, gamma_fg, gamma_he = params.delta_pp, params.gamma_fg, params.gamma_he

@@ -5,7 +5,7 @@ from scipy.special import wofz
 
 from spinamp import absorber
 from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope, integrate_hierarchy
-from spinamp.stepping import IntegrationError
+from spinamp.stepping import IntegrationError, TimeGrid
 from helpers import array_amplitudes, norm_on_grid
 
 RIDGE = dict(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
@@ -141,10 +141,10 @@ def test_population_guard_trips_on_nan(monkeypatch):
 
     monkeypatch.setattr(absorber, "rk4_step", nan_in_last_cell)
     with pytest.raises(IntegrationError, match=r"P_e = nan, p_g = nan .* t = -4\.9000 with dt = 0\.01"):
-        integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, -4.9, dt=1e-2)
+        integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, TimeGrid(1e-2, -5.0, -4.9))
     d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0], indexing="ij")
     with pytest.raises(IntegrationError, match=r"P_e = nan.* = \(10\.0, 20\.0, 20\.0\), t = -4\.9000"):
-        integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, -4.9, dt=1e-2)
+        integrate_hierarchy(AbsorberParams(d, g, g), PULSE, TimeGrid(1e-2, -5.0, -4.9))
 
 
 @pytest.mark.parametrize("grid", [False, True], ids=["cell", "grid"])
@@ -157,8 +157,8 @@ def test_step_matches_array_rk4_bit_for_bit(grid):
         params = AbsorberParams(d, g, 20.0, eta=0.6)
     else:
         params = AbsorberParams(**RIDGE, eta=0.6)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 3.0, 1e-3)
-    samples = array_amplitudes(params, PULSE, -5.0, 3.0, 1e-3)
+    trace = integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, 3.0))
+    samples = array_amplitudes(params, PULSE, TimeGrid(1e-3, -5.0, 3.0))
     assert np.array_equal(trace.states, samples[:, :2])
     assert np.array_equal(trace.pe, samples[:, 2].real)
     assert np.all(samples[:, 2].imag == 0.0)
@@ -173,22 +173,22 @@ def test_pulse_norm_on_grid():
 def test_preconditions():
     params = AbsorberParams(**RIDGE)
     with pytest.raises(ValueError, match="tail"):
-        integrate_hierarchy(params, PULSE, -3.0, 5.0, dt=1e-3)
+        integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -3.0, 5.0))
     with pytest.raises(ValueError, match="dt"):
-        integrate_hierarchy(params, PULSE, -5.0, 5.0, dt=0.5)
+        integrate_hierarchy(params, PULSE, TimeGrid(0.5, -5.0, 5.0))
     with pytest.raises(ValueError, match="t_end"):
-        integrate_hierarchy(params, PULSE, -5.0, -6.0, dt=1e-3)
+        integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, -6.0))
 
 
 def test_severed_arm_gives_zero_transduction():
     params = AbsorberParams(delta_pp=0.0, gamma_fg=10.0, gamma_he=10.0)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 4.0, dt=2e-3)
+    trace = integrate_hierarchy(params, PULSE, TimeGrid(2e-3, -5.0, 4.0))
     assert np.abs(trace.pe).max() < 1e-12
 
 
 def test_absorption_rises_and_saturates():
     params = AbsorberParams(delta_pp=5.0, gamma_fg=10.0, gamma_he=10.0)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 12.0, dt=1e-3)
+    trace = integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, 12.0))
     assert trace.pe_steady > 0.9
     # nondecreasing once the pulse has passed (no decay channel out of |e>)
     after = trace.times > PULSE.t_arrival + 4.0 * PULSE.tau_f
@@ -197,7 +197,7 @@ def test_absorption_rises_and_saturates():
 
 
 def test_trace_conservation_and_block_structure():
-    trace = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 6.0, dt=1e-3)
+    trace = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, TimeGrid(1e-3, -5.0, 6.0))
     assert trace.states.shape == (trace.times.size, 2)
     rho11, _ = reconstructed_blocks(trace)
     assert np.abs(np.trace(rho11, axis1=1, axis2=2).real - 1.0).max() < 1e-6
@@ -217,7 +217,7 @@ def test_amplitudes_match_fock_hierarchy(cell):
     # the atom starts in |g>, so the hierarchy closes on (psi, P_e): the two
     # RK4 discretizations agree to rounding at dt = tau_f / 1000
     params = AbsorberParams(**cell)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 4.0, dt=1e-3)
+    trace = integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, 4.0))
     rho = _hierarchy_rk4(params, PULSE, -5.0, 4.0, 1e-3)
     assert np.abs(trace.pe - rho[:, 1, 1, _E, _E].real).max() < 5e-14
     rho11, rho10 = reconstructed_blocks(trace)
@@ -228,15 +228,15 @@ def test_amplitudes_match_fock_hierarchy(cell):
 
 def test_scattering_efficiency_scales_transduction():
     # rho_11 is second order in the photon amplitude: P_e scales with |c|^2 = eta
-    full = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, -5.0, 4.0, dt=1e-3)
-    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6), PULSE, -5.0, 4.0, dt=1e-3)
+    full = integrate_hierarchy(AbsorberParams(**RIDGE), PULSE, TimeGrid(1e-3, -5.0, 4.0))
+    lossy = integrate_hierarchy(AbsorberParams(**RIDGE, eta=0.6), PULSE, TimeGrid(1e-3, -5.0, 4.0))
     assert np.abs(lossy.pe - 0.6 * full.pe).max() < 1e-12
 
 
 def test_vacuum_drive_keeps_blocks_equal():
     # arrival pushed far outside the window: xi == 0 on the whole grid
     params = AbsorberParams(delta_pp=5.0, gamma_fg=8.0, gamma_he=8.0)
-    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0, t_arrival=1e6), -5.0, 3.0, dt=2e-3)
+    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0, t_arrival=1e6), TimeGrid(2e-3, -5.0, 3.0))
     assert np.abs(trace.pe).max() == 0.0
     # psi = 0 keeps rho_11 = rho_00 = |g><g| and rho_01 = 0
     assert np.abs(trace.states).max() < 1e-14
@@ -244,8 +244,8 @@ def test_vacuum_drive_keeps_blocks_equal():
 
 def test_step_halving_convergence():
     params = AbsorberParams(**RIDGE)
-    coarse = integrate_hierarchy(params, PULSE, -5.0, 4.0, dt=1e-3)
-    fine = integrate_hierarchy(params, PULSE, -5.0, 4.0, dt=5e-4)
+    coarse = integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, 4.0))
+    fine = integrate_hierarchy(params, PULSE, TimeGrid(5e-4, -5.0, 4.0))
     assert abs(coarse.pe[-1] - fine.pe[-1]) < 1e-6
 
 
@@ -253,30 +253,30 @@ def test_trace_drift_error_names_dt():
     # absurd decay rate makes explicit RK4 unstable at this step
     params = AbsorberParams(delta_pp=5.0, gamma_fg=5e3, gamma_he=5e3)
     with pytest.raises(IntegrationError, match="0.01"):
-        integrate_hierarchy(params, PULSE, -5.0, 2.0, dt=0.01)
+        integrate_hierarchy(params, PULSE, TimeGrid(0.01, -5.0, 2.0))
 
 
 def test_determinism():
     params = AbsorberParams(**RIDGE)
-    a = integrate_hierarchy(params, PULSE, -5.0, 3.0, dt=2e-3)
-    b = integrate_hierarchy(params, PULSE, -5.0, 3.0, dt=2e-3)
+    a = integrate_hierarchy(params, PULSE, TimeGrid(2e-3, -5.0, 3.0))
+    b = integrate_hierarchy(params, PULSE, TimeGrid(2e-3, -5.0, 3.0))
     assert np.array_equal(a.pe, b.pe)
 
 
 def test_grid_steps_each_cell_as_one_trace():
     d, g = np.meshgrid([0.0, 10.0], [5.0, 20.0, 80.0], indexing="ij")
-    grid = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, 8.0, dt=5e-3)
+    grid = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, TimeGrid(5e-3, -5.0, 8.0))
     n = grid.times.size
     assert (grid.pe.shape, grid.states.shape, grid.pe_steady.shape) == ((n, 2, 3), (n, 2, 2, 3), (2, 3))
     assert np.abs(grid.pe_steady[0]).max() < 1e-12  # severed-arm row
     assert np.argmax(grid.pe_steady[1]) == 1  # gamma = 2 delta_pp wins
     for i, j in np.ndindex(d.shape):
         cell = AbsorberParams(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=g[i, j])
-        single = integrate_hierarchy(cell, PULSE, -5.0, 8.0, dt=5e-3)
+        single = integrate_hierarchy(cell, PULSE, TimeGrid(5e-3, -5.0, 8.0))
         assert isinstance(single.pe_steady, float)
         assert abs(grid.pe_steady[i, j] - single.pe_steady) <= 1e-15
         assert np.abs(grid.states[..., i, j] - single.states).max() <= 1e-15
-    again = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, -5.0, 8.0, dt=5e-3)
+    again = integrate_hierarchy(AbsorberParams(d, g, g), PULSE, TimeGrid(5e-3, -5.0, 8.0))
     assert np.array_equal(grid.pe_steady, again.pe_steady)
 
 
@@ -305,7 +305,7 @@ CLOSED_FORM_CELLS = [
 @pytest.mark.parametrize("cell", CLOSED_FORM_CELLS)
 def test_amplitudes_match_closed_form(cell):
     pulse = PulseEnvelope(tau_f=1.0, t_arrival=0.5)
-    trace = integrate_hierarchy(AbsorberParams(**cell), pulse, -5.0, 4.0, dt=1e-3)
+    trace = integrate_hierarchy(AbsorberParams(**cell), pulse, TimeGrid(1e-3, -5.0, 4.0))
     assert np.abs(trace.states - _closed_form_psi(cell, pulse, -5.0, trace.times)).max() < CLOSED_FORM_TOL
     every = slice(None, None, 50)
     pe = _closed_form_pe(cell, pulse, -5.0, trace.times[every])
@@ -317,7 +317,7 @@ def test_grid_matches_closed_form():
     # gamma_he = 1.5 gamma_fg keeps every cell off M's exceptional point
     d, g = np.meshgrid([0.0, 7.0, 10.0], [5.0, 20.0], indexing="ij")
     params = AbsorberParams(d, g, 1.5 * g, eta=0.6)
-    trace = integrate_hierarchy(params, PULSE, -5.0, 3.0, dt=1e-3)
+    trace = integrate_hierarchy(params, PULSE, TimeGrid(1e-3, -5.0, 3.0))
     every = slice(None, None, 50)
     for i, j in np.ndindex(d.shape):
         cell = dict(delta_pp=d[i, j], gamma_fg=g[i, j], gamma_he=1.5 * g[i, j], eta=0.6)

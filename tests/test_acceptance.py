@@ -29,6 +29,7 @@ from spinamp.lmg_statics import (
     order_parameters,
     solve_ground,
 )
+from spinamp.stepping import TimeGrid
 from helpers import azimuthal_plane_mass, q_norm_integral, solvable_line_energies
 from test_absorber import reconstructed_blocks
 
@@ -67,23 +68,21 @@ def transition_sweep():
 @pytest.fixture(scope="module")
 def absorber_drive():
     params = AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
-    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0), -5.0, 20.0, dt=1e-3)
+    trace = integrate_hierarchy(params, PulseEnvelope(tau_f=1.0), TimeGrid(1e-3, -5.0, 20.0))
     return DriveSchedule(trace.times, trace.pe)
 
 
 @pytest.fixture(scope="module")
 def critical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.675, jy=0.7, bx=0.01)
-    _, every_sample, _ = sample_plan(-5.0, 20.0, 1e-3, 25)  # C9 and C11 read the states
-    return evolve(
-        params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25, snapshots=every_sample
-    )
+    _, every_sample, _ = sample_plan(TimeGrid(1e-3, -5.0, 20.0, 25))  # C9 and C11 read the states
+    return evolve(params, absorber_drive, TimeGrid(1e-3, -5.0, 20.0, 25), snapshots=every_sample)
 
 
 @pytest.fixture(scope="module")
 def noncritical_trajectory(absorber_drive):
     params = LmgParams(n_qubits=400, jx=0.5, jy=0.7, bx=0.01)
-    return evolve(params, absorber_drive, t_start=-5.0, t_end=20.0, dt=1e-3, sample_every=25)
+    return evolve(params, absorber_drive, TimeGrid(1e-3, -5.0, 20.0, 25))
 
 
 def test_c01_susceptibility_exponent(transition_sweep):
@@ -231,7 +230,7 @@ def test_c06_transduction_ridge():
     for gamma in (20.0, 80.0, 5.0):
         params = AbsorberParams(delta_pp=10.0, gamma_fg=gamma, gamma_he=gamma)
         pulse = PulseEnvelope(tau_f=1.0)
-        steady[gamma] = integrate_hierarchy(params, pulse, -5.0, 12.0, dt=1e-3).pe_steady
+        steady[gamma] = integrate_hierarchy(params, pulse, TimeGrid(1e-3, -5.0, 12.0)).pe_steady
     ok = (
         steady[20.0] >= 0.95
         and steady[20.0] > steady[80.0]
@@ -287,7 +286,8 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
     _clock("C8")
     results = {400: quantum_gain(critical_trajectory)}
     for n in (100, 200):
-        traj = evolve(LmgParams(n_qubits=n, jx=0.675, jy=0.7, bx=0.01), absorber_drive, -5.0, 20.0, 1e-3, 25)
+        params = LmgParams(n_qubits=n, jx=0.675, jy=0.7, bx=0.01)
+        traj = evolve(params, absorber_drive, TimeGrid(1e-3, -5.0, 20.0, 25))
         results[n] = quantum_gain(traj)
     ns = np.array(sorted(results), dtype=float)
     gm = np.array([results[int(n)].g_max for n in ns])
@@ -310,7 +310,7 @@ def test_c08_gain_scaling_with_n(absorber_drive, critical_trajectory):
 def test_c09_q_function_rotation(critical_trajectory):
     _clock("C9")
     # the fixture keeps every sample's state, so states[k] is the one at times[k]
-    _, _, (k_before, k_after) = sample_plan(-5.0, 20.0, 1e-3, 25, (-5.0, 18.0))
+    _, _, (k_before, k_after) = sample_plan(TimeGrid(1e-3, -5.0, 20.0, 25), (-5.0, 18.0))
     before = q_function(critical_trajectory.states[k_before])
     after = q_function(critical_trajectory.states[k_after])
     yz_before = azimuthal_plane_mass(before, "yz")
@@ -362,13 +362,13 @@ def test_c11_property_suite(transition_sweep, critical_trajectory):
     # step-halving convergence of both integrators
     params = LmgParams(n_qubits=100, jx=0.675, jy=0.7, bx=0.01)
     ramp = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
-    a = evolve(params, ramp, -1.0, 2.0, dt=1e-3, sample_every=100)
-    b = evolve(params, ramp, -1.0, 2.0, dt=5e-4, sample_every=200)
+    a = evolve(params, ramp, TimeGrid(1e-3, -1.0, 2.0, 100))
+    b = evolve(params, ramp, TimeGrid(5e-4, -1.0, 2.0, 200))
     checks["dynamics step-halving"] = abs(a.sx2[-1] - b.sx2[-1]) / a.sx2[-1] < 1e-6
     ap = AbsorberParams(delta_pp=10.0, gamma_fg=20.0, gamma_he=20.0)
     pulse = PulseEnvelope(tau_f=1.0)
-    ta = integrate_hierarchy(ap, pulse, -5.0, 4.0, dt=1e-3)
-    tb = integrate_hierarchy(ap, pulse, -5.0, 4.0, dt=5e-4)
+    ta = integrate_hierarchy(ap, pulse, TimeGrid(1e-3, -5.0, 4.0))
+    tb = integrate_hierarchy(ap, pulse, TimeGrid(5e-4, -5.0, 4.0))
     checks["absorber step-halving"] = abs(ta.pe[-1] - tb.pe[-1]) < 1e-6
 
     # trace conservation and block structure of the physical block rho_11 at

@@ -9,6 +9,8 @@ from scipy.special import jv
 
 from spinamp import amplifier_dynamics
 from spinamp.amplifier_dynamics import (
+    Q_PHI,
+    Q_THETA,
     AmplifierTrajectory,
     DriveSchedule,
     evolve,
@@ -20,7 +22,7 @@ from spinamp.amplifier_dynamics import (
 from spinamp.absorber import AbsorberParams, PulseEnvelope, integrate_hierarchy
 from spinamp.dicke import DickeSpace, build_collective_operator, expectation
 from spinamp.lmg_statics import LmgParams, assemble_hamiltonian, solve_ground
-from spinamp.stepping import IntegrationError, rk4_step, sample_grid
+from spinamp.stepping import IntegrationError, TimeGrid, rk4_step
 from helpers import (
     azimuthal_plane_mass,
     coherent_amplitudes,
@@ -33,10 +35,10 @@ from helpers import (
 BIAS = dict(jx=0.675, jy=0.7)
 
 
-def evolve_keeping_all(params, drive, t_start, t_end, dt, sample_every):
+def evolve_keeping_all(params, drive, grid):
     """evolve with every stored sample's state kept."""
-    _, times = sample_grid(t_start, t_end, dt, sample_every)
-    return evolve(params, drive, t_start, t_end, dt, sample_every, snapshots=times)
+    _, times = grid.samples(grid.sample_every)
+    return evolve(params, drive, grid, snapshots=times)
 
 
 def test_drive_schedule_validation():
@@ -69,13 +71,13 @@ def test_evolve_preconditions(monkeypatch):
     params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
     drive = zero_drive(-1.0, 1.0)
     with pytest.raises(ValueError, match="dt"):
-        evolve(params, drive, -1.0, 1.0, dt=5e-3, sample_every=25)
+        evolve(params, drive, TimeGrid(5e-3, -1.0, 1.0, 25))
     with pytest.raises(ValueError, match="t_start"):
-        evolve(params, drive, 0.0, 1.0, 1e-3, 25)
+        evolve(params, drive, TimeGrid(1e-3, 0.0, 1.0, 25))
     # an off-grid snapshot is refused before the ground state is solved or any step taken
     monkeypatch.setattr(amplifier_dynamics, "solve_ground", lambda p: pytest.fail("evolve started work"))
     with pytest.raises(ValueError, match="no stored sample at t = 0.1234567"):
-        evolve(params, drive, -1.0, 1.0, 1e-3, 25, snapshots=(0.5, 0.1234567))
+        evolve(params, drive, TimeGrid(1e-3, -1.0, 1.0, 25), snapshots=(0.5, 0.1234567))
 
 
 def test_norm_drift_guard_trips_on_nan(monkeypatch):
@@ -83,7 +85,7 @@ def test_norm_drift_guard_trips_on_nan(monkeypatch):
     drive = DriveSchedule(times=np.array([-1.0, 0.0]), pe=np.array([0.0, 0.5]))
     monkeypatch.setattr(amplifier_dynamics, "rk4_step", lambda psi, t, dt, deriv: np.full_like(psi, np.nan))
     with pytest.raises(IntegrationError, match="norm drift"):
-        evolve(LmgParams(n_qubits=20, **BIAS), drive, -1.0, -0.9, 1e-3, 25)
+        evolve(LmgParams(n_qubits=20, **BIAS), drive, TimeGrid(1e-3, -1.0, -0.9, 25))
 
 
 def test_norm_drift_guard_trips_on_nan_in_flat_stretch(monkeypatch):
@@ -91,7 +93,7 @@ def test_norm_drift_guard_trips_on_nan_in_flat_stretch(monkeypatch):
     # a NaN leading coefficient makes its first stride NaN
     monkeypatch.setattr(amplifier_dynamics, "jv", lambda k, x: np.where(k == 0, np.nan, jv(k, x)))
     with pytest.raises(IntegrationError, match="norm drift .* at t = -0.9750"):
-        evolve(LmgParams(n_qubits=20, **BIAS), zero_drive(-1.0, 1.0), -1.0, -0.9, 1e-3, 25)
+        evolve(LmgParams(n_qubits=20, **BIAS), zero_drive(-1.0, 1.0), TimeGrid(1e-3, -1.0, -0.9, 25))
 
 
 def test_flat_drive_start():
@@ -121,7 +123,7 @@ def test_rk4_runs_only_while_the_drive_moves(monkeypatch):
     params = LmgParams(n_qubits=30, bx=0.01, **BIAS)
     # flat from t = 0.01, between the stored samples at 0.0 and 0.025
     drive = DriveSchedule(times=np.array([-1.0, 0.01, 2.0]), pe=np.array([0.0, 0.5, 0.5]))
-    traj = evolve(params, drive, -1.0, 1.0, 1e-3, 25)
+    traj = evolve(params, drive, TimeGrid(1e-3, -1.0, 1.0, 25))
     assert len(rk4_times) == 1025
     assert np.allclose(rk4_times, -1.0 + 1e-3 * np.arange(1025), rtol=0.0, atol=1e-12)
     assert len(pe_times) == 4 * len(rk4_times)
@@ -129,7 +131,7 @@ def test_rk4_runs_only_while_the_drive_moves(monkeypatch):
     # a drive flat from its first sample never reaches rk4_step
     rk4_times.clear()
     pe_times.clear()
-    evolve(params, zero_drive(-1.0, 1.0), -1.0, 1.0, 1e-3, 25)
+    evolve(params, zero_drive(-1.0, 1.0), TimeGrid(1e-3, -1.0, 1.0, 25))
     assert rk4_times == [] and pe_times == []
 
 
@@ -142,7 +144,7 @@ def test_flat_stretch_matches_dense_expm(n_qubits):
     params = LmgParams(n_qubits=n_qubits, bx=0.3, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 3.0]), pe=np.array([0.6, 0.6]))
     # 3130 steps: 7 strides of 400, one of 330
-    traj = evolve_keeping_all(params, drive, -1.0, 2.13, 1e-3, 400)
+    traj = evolve_keeping_all(params, drive, TimeGrid(1e-3, -1.0, 2.13, 400))
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
     h = densify(assemble_hamiltonian(dataclasses.replace(params, bx=0.6 * params.bx)))
     h -= ground.e0 * np.eye(h.shape[0])
@@ -154,7 +156,7 @@ def test_flat_stretch_matches_dense_expm(n_qubits):
 
 @pytest.fixture(scope="module")
 def registry_drive():
-    trace = integrate_hierarchy(AbsorberParams(10.0, 20.0, 20.0), PulseEnvelope(1.0), -5.0, 20.0, 1e-3)
+    trace = integrate_hierarchy(AbsorberParams(10.0, 20.0, 20.0), PulseEnvelope(1.0), TimeGrid(1e-3, -5.0, 20.0))
     return DriveSchedule(trace.times, trace.pe)
 
 
@@ -173,8 +175,8 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
     )
     assert flat_drive_start(moving) == 21.0
     params = LmgParams(n_qubits=n_qubits, jx=0.675, jy=0.7, bx=0.01)
-    traj = evolve_keeping_all(params, registry_drive, -5.0, 20.0, 1e-3, 25)
-    ref = evolve_keeping_all(params, moving, -5.0, 20.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, registry_drive, TimeGrid(1e-3, -5.0, 20.0, 25))
+    ref = evolve_keeping_all(params, moving, TimeGrid(1e-3, -5.0, 20.0, 25))
     k_flat = int(np.searchsorted(traj.times, t_flat))
     assert np.array_equal(traj.states[: k_flat + 1], ref.states[: k_flat + 1])
     assert np.abs(traj.sx2 - ref.sx2).max() / ref.sx2.min() < 1e-10
@@ -208,9 +210,9 @@ def test_window_interval_series_matches_whole_interval(registry_drive, monkeypat
     the RK4 stretch bit for bit, then sx2 and sy2 within 1e-12 relative,
     rounding of two series that both converge to SERIES_CUT."""
     params = LmgParams(n_qubits=n_qubits, jx=0.5, jy=0.7, bx=0.01)
-    traj = evolve(params, registry_drive, -5.0, 12.0, 1e-3, 25)
+    traj = evolve(params, registry_drive, TimeGrid(1e-3, -5.0, 12.0, 25))
     monkeypatch.setattr(amplifier_dynamics, "_chebyshev_propagator", whole_interval_propagator)
-    ref = evolve(params, registry_drive, -5.0, 12.0, 1e-3, 25)
+    ref = evolve(params, registry_drive, TimeGrid(1e-3, -5.0, 12.0, 25))
     k_flat = int(np.searchsorted(traj.times, flat_drive_start(registry_drive)))
     assert k_flat < traj.times.size - 100
     assert np.array_equal(traj.sx2[: k_flat + 1], ref.sx2[: k_flat + 1])
@@ -218,12 +220,13 @@ def test_window_interval_series_matches_whole_interval(registry_drive, monkeypat
     assert np.abs(traj.sy2 / ref.sy2 - 1.0).max() < 1e-12
 
 
-def full_space_reference(params, drive, ground, t_start, t_end, dt, every):
+def full_space_reference(params, drive, ground, grid):
     """<S_x^2> and <S_y^2> from evolve's two stretches stepped on all N + 1
     levels from ground.ground: RK4 while the drive moves, then
     exp(-i (H - E0) tau) per stride as a Chebyshev series on H's exact
     spectral interval."""
-    steps, times = sample_grid(t_start, t_end, dt, every)
+    t_start, dt = grid.t_start, grid.dt
+    steps, times = grid.samples(grid.sample_every)
     k_flat = int(np.searchsorted(times, flat_drive_start(drive)))
     bands = assemble_hamiltonian(params).bands
     d, v, s = bands[0] - ground.e0, bands[2][:-2], params.space.ladder_coefficients() / 2.0
@@ -271,10 +274,10 @@ def test_window_matches_the_full_space(registry_drive, monkeypatch):
 
     monkeypatch.setattr(amplifier_dynamics, "rk4_step", recording_rk4)
     params = LmgParams(n_qubits=1600, bx=0.01, **BIAS)
-    traj = evolve(params, registry_drive, -5.0, 10.0, 1e-3, 25)
+    traj = evolve(params, registry_drive, TimeGrid(1e-3, -5.0, 10.0, 25))
     assert traj.times[-1] > flat_drive_start(registry_drive) + 1.0
     ground = solve_ground(dataclasses.replace(params, bx=0.0))
-    sx2, sy2 = full_space_reference(params, registry_drive, ground, -5.0, 10.0, 1e-3, 25)
+    sx2, sy2 = full_space_reference(params, registry_drive, ground, TimeGrid(1e-3, -5.0, 10.0, 25))
     assert np.abs(traj.sx2 / sx2 - 1.0).max() < 1e-13
     assert np.abs(traj.sy2 / sy2 - 1.0).max() < 1e-13
     assert abs(traj.sx2.max() - sx2.max()) / sx2.max() < 1e-13  # g_max, over the same sx2[0]
@@ -300,8 +303,8 @@ def test_window_reach_covers_a_state_with_hard_edges(monkeypatch, pe, exact):
     start = SimpleNamespace(e0=assemble_hamiltonian(params).bands[0][200], ground=level)
     monkeypatch.setattr(amplifier_dynamics, "solve_ground", lambda p: start)
     drive = DriveSchedule(times=np.array([-0.1, 0.2]), pe=np.array(pe))
-    traj = evolve(params, drive, -0.1, 0.1, 1e-3, 25)
-    sx2, sy2 = full_space_reference(params, drive, start, -0.1, 0.1, 1e-3, 25)
+    traj = evolve(params, drive, TimeGrid(1e-3, -0.1, 0.1, 25))
+    sx2, sy2 = full_space_reference(params, drive, start, TimeGrid(1e-3, -0.1, 0.1, 25))
     if exact:
         assert np.array_equal(traj.sx2, sx2) and np.array_equal(traj.sy2, sy2)
     assert np.abs(traj.sx2 / sx2 - 1.0).max() < 1e-13
@@ -314,8 +317,8 @@ def test_window_runs_where_full_space_rk4_is_unstable(registry_drive):
     bound; on the window evolve completes, and sx2 agrees with dt = 5e-4
     within C11's 1e-6."""
     params = LmgParams(n_qubits=3200, bx=0.01, **BIAS)
-    a = evolve(params, registry_drive, -5.0, 0.0, 1e-3, 25)
-    b = evolve(params, registry_drive, -5.0, 0.0, 5e-4, 50)
+    a = evolve(params, registry_drive, TimeGrid(1e-3, -5.0, 0.0, 25))
+    b = evolve(params, registry_drive, TimeGrid(5e-4, -5.0, 0.0, 50))
     assert np.array_equal(a.times, b.times)
     assert np.abs(a.sx2 / b.sx2 - 1.0).max() < 1e-6
     assert a.max_window < 3201 / 2
@@ -336,7 +339,7 @@ def test_stability_guard_fires_on_the_whole_space(registry_drive, monkeypatch):
     params = LmgParams(n_qubits=3200, bx=0.01, **BIAS)
     message = r"RK4 unstable at t = -5\.0000 on levels \[0, 3201\): Gershgorin bound [0-9.]+ .* exceeds 2 sqrt 2"
     with pytest.raises(IntegrationError, match=message):
-        evolve(params, registry_drive, -5.0, 0.0, 1e-3, 25)
+        evolve(params, registry_drive, TimeGrid(1e-3, -5.0, 0.0, 25))
     assert all(np.all(np.isfinite(y)) for y in outputs)
 
 
@@ -354,7 +357,7 @@ def test_support_trims_only_dust_and_keeps_non_finite_entries():
 def test_ground_state_is_stationary_without_drive():
     # params.bx is scaled by P_e = 0, so the zero-field ground state stays put
     params = LmgParams(n_qubits=60, bx=0.01, **BIAS)
-    traj = evolve_keeping_all(params, zero_drive(-1.0, 2.0), -1.0, 2.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, zero_drive(-1.0, 2.0), TimeGrid(1e-3, -1.0, 2.0, 25))
     assert np.abs(traj.sx2 - traj.sx2[0]).max() < 1e-8
     norms = np.linalg.norm(traj.states, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
@@ -363,7 +366,7 @@ def test_ground_state_is_stationary_without_drive():
 def test_energy_conserved_with_frozen_drive():
     params = LmgParams(n_qubits=100, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 4.0]), pe=np.array([1.0, 1.0]))
-    traj = evolve_keeping_all(params, drive, -1.0, 4.0, 1e-3, 25)
+    traj = evolve_keeping_all(params, drive, TimeGrid(1e-3, -1.0, 4.0, 25))
     h_field = assemble_hamiltonian(params)
     energies = np.array([expectation(h_field, s) for s in traj.states])
     assert np.abs(energies - energies[0]).max() / abs(energies[0]) < 1e-8
@@ -372,8 +375,8 @@ def test_energy_conserved_with_frozen_drive():
 def test_step_halving_convergence():
     params = LmgParams(n_qubits=100, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
-    a = evolve(params, drive, -1.0, 2.0, dt=1e-3, sample_every=100)
-    b = evolve(params, drive, -1.0, 2.0, dt=5e-4, sample_every=200)
+    a = evolve(params, drive, TimeGrid(1e-3, -1.0, 2.0, 100))
+    b = evolve(params, drive, TimeGrid(5e-4, -1.0, 2.0, 200))
     assert abs(a.sx2[-1] - b.sx2[-1]) / a.sx2[-1] < 1e-6
 
 
@@ -401,7 +404,7 @@ def test_last_partial_sample():
     """A span that is no whole number of sample strides ends on a shorter stride."""
     params = LmgParams(n_qubits=20, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 1.0]))
-    traj = evolve_keeping_all(params, drive, -1.0, 0.01, dt=1e-3, sample_every=100)  # 1010 steps
+    traj = evolve_keeping_all(params, drive, TimeGrid(1e-3, -1.0, 0.01, 100))  # 1010 steps
     assert np.array_equal(traj.times, -1.0 + 1e-3 * np.array([*range(0, 1001, 100), 1010]))
     assert np.abs(np.linalg.norm(traj.states, axis=1) - 1.0).max() < 1e-12
     assert np.all(np.abs(np.diff(traj.states, axis=0)).max(axis=1) > 1e-6)
@@ -409,7 +412,7 @@ def test_last_partial_sample():
     assert all(traj.sx2[k] == expectation(sx2, s) for k, s in enumerate(traj.states))
     # the absorber keeps the same rule at its own stride of 10 steps
     absorber = AbsorberParams(10.0, 20.0, 20.0)
-    trace = integrate_hierarchy(absorber, PulseEnvelope(1.0), -5.0, -3.995, 1e-3)  # 1005 steps
+    trace = integrate_hierarchy(absorber, PulseEnvelope(1.0), TimeGrid(1e-3, -5.0, -3.995))  # 1005 steps
     assert np.array_equal(trace.times, -5.0 + 1e-3 * np.array([*range(0, 1001, 10), 1005]))
 
 
@@ -420,7 +423,7 @@ def test_run_keeping_no_state_needs_no_per_sample_memory():
     drive = DriveSchedule(times=np.array([-1.0, 0.0]), pe=np.array([0.0, 0.5]))  # flat from t = 0
     tracemalloc.start()
     try:
-        traj = evolve(params, drive, -1.0, 1.0, 1e-3, 1)
+        traj = evolve(params, drive, TimeGrid(1e-3, -1.0, 1.0, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -431,13 +434,13 @@ def test_run_keeping_no_state_needs_no_per_sample_memory():
 def test_kept_states_are_the_rows_of_a_run_keeping_all():
     params = LmgParams(n_qubits=50, bx=0.01, **BIAS)
     drive = DriveSchedule(times=np.array([-1.0, 0.0, 1.0]), pe=np.array([0.0, 0.5, 0.5]))  # flat from t = 0
-    every = evolve_keeping_all(params, drive, -1.0, 1.01, 1e-3, 25)
+    every = evolve_keeping_all(params, drive, TimeGrid(1e-3, -1.0, 1.01, 25))
     snapshots = (0.5, -1.0, 1.01, 0.5, 0.0)  # unordered, repeated, the first and the shorter last sample
-    some = evolve(params, drive, -1.0, 1.01, 1e-3, 25, snapshots=snapshots)
+    some = evolve(params, drive, TimeGrid(1e-3, -1.0, 1.01, 25), snapshots=snapshots)
     assert some.states.shape == (5, 51)
     assert np.array_equal(some.sx2, every.sx2) and np.array_equal(some.sy2, every.sy2)
     # states[j] is the state at snapshots[j]: the row of its sample in a run keeping all
-    _, times, kept = sample_plan(-1.0, 1.01, 1e-3, 25, snapshots)
+    _, times, kept = sample_plan(TimeGrid(1e-3, -1.0, 1.01, 25), snapshots)
     assert np.array_equal(times, every.times) and kept.tolist() == [60, 0, 81, 60, 40]
     assert np.array_equal(some.states, every.states[kept])
 
@@ -445,21 +448,21 @@ def test_kept_states_are_the_rows_of_a_run_keeping_all():
 def test_q_function_pole_state():
     state = np.zeros(41, dtype=complex)
     state[0] = 1.0  # |S, -S>, polarized along -z
-    grid = q_function(state)
-    assert grid.values[-1].max() == grid.values.max()  # theta = pi row
-    assert np.abs(grid.values[0]).max() < 1e-12  # theta = 0 row
-    assert abs(q_norm_integral(grid) - 1.0) < 1e-3
+    q = q_function(state)
+    assert q[-1].max() == q.max()  # theta = pi row
+    assert np.abs(q[0]).max() < 1e-12  # theta = 0 row
+    assert abs(q_norm_integral(q) - 1.0) < 1e-3
 
 
 def test_q_function_peaks_at_coherent_parameters():
     space = DickeSpace(60)
     theta0, phi0 = 1.1, 2.3
     state = coherent_amplitudes(space, theta0, phi0)
-    grid = q_function(state)
-    i, j = np.unravel_index(np.argmax(grid.values), grid.values.shape)
-    assert abs(grid.theta[i] - theta0) < 2 * np.pi / 180
-    assert abs(grid.phi[j] - phi0) < 2 * np.pi / 180
-    assert abs(q_norm_integral(grid) - 1.0) < 1e-3
+    q = q_function(state)
+    i, j = np.unravel_index(np.argmax(q), q.shape)
+    assert abs(Q_THETA[i] - theta0) < 2 * np.pi / 180
+    assert abs(Q_PHI[j] - phi0) < 2 * np.pi / 180
+    assert abs(q_norm_integral(q) - 1.0) < 1e-3
 
 
 def test_q_function_rejects_unnormalized():
@@ -477,7 +480,7 @@ def test_q_function_takes_the_space_from_one_vector():
         q_function(np.ones(1, dtype=complex))
     state = np.zeros(11, dtype=complex)
     state[-1] = 1.0  # |S, +S>: N = 10 from the length alone
-    assert q_function(state).values[0].max() == pytest.approx(11 / (4 * np.pi), rel=1e-12)
+    assert q_function(state)[0].max() == pytest.approx(11 / (4 * np.pi), rel=1e-12)
 
 
 def test_azimuthal_plane_masses():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -580,10 +581,43 @@ def test_dynamics_stages_record_window_and_norm_drift(tmp_path, capsys, name, te
 def test_cli_run_rejects_config_for_several(tmp_path, capsys):
     cfg_file = tmp_path / "c.ini"
     cfg_file.write_text(SMALL_FIGS1)
+    # with no name on the command line or in the file, --config would apply to the whole registry
+    unnamed = tmp_path / "unnamed.ini"
+    unnamed.write_text(SMALL_FIGS1.replace("[run]\nexperiment = figS1_absorption\n", ""))
     out_dir = tmp_path / "out"
-    for names in (["figS1_absorption", "fig5_correlation_gap"], []):
-        assert main(["run", *names, "--config", str(cfg_file), "--out", str(out_dir)]) == 1
-        assert "[config]" in capsys.readouterr().err
+    for names, path in ((["figS1_absorption", "fig5_correlation_gap"], cfg_file), ([], unnamed)):
+        assert main(["run", *names, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert "[config] --config applies to one experiment, got " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_run_takes_the_experiment_its_config_names(tmp_path, capsys):
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(SMALL_FIGS1)
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_file), "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["experiment"] == "figS1_absorption"
+    assert "figS1_absorption: 1 files" in capsys.readouterr().out
+    # a command-line name that disagrees with the file's stays an error
+    other = tmp_path / "other"
+    assert main(["run", "fig5_correlation_gap", "--config", str(cfg_file), "--out", str(other)]) == 1
+    message = "[config] config names experiment 'figS1_absorption' but the command line says 'fig5_correlation_gap'"
+    assert capsys.readouterr().err.startswith(message)
+    assert not other.exists()
+
+
+def test_cli_run_refuses_a_step_count_past_float_range(tmp_path, capsys):
+    """A span of more steps than a float counts is a [config] [integration]
+    error, both as the config is merged and from the command line."""
+    text = SMALL_FIGS1.replace("dt = 5e-3", "dt = 1e-300").replace("t_end = 2.0", "t_end = 1e308")
+    refusal = "[integration] the step count (t_end - t_start) / dt must be finite, got inf"
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        apply_overrides(default_config("figS1_absorption"), parse_config_text(text)[1])
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "figS1_absorption", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"[config] {refusal}\n"
     assert not out_dir.exists()
 
 

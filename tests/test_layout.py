@@ -1,8 +1,10 @@
-"""Every definition in src/spinamp has a caller in src/spinamp.
+"""Every definition and every module-level constant in src/spinamp has a
+reader in src/spinamp.
 
 Code that only the tests read lives in tests/helpers.py, so a function,
 class or method that nothing in the package names beyond its own
-definition is dead weight in the package.
+definition, or an ALL-CAPS constant that no code there loads, is dead weight
+in the package.
 """
 
 import ast
@@ -38,3 +40,32 @@ def test_every_definition_has_a_caller_in_src():
         if len(re.findall(rf"\b{re.escape(name)}\b", text)) < 2
     ]
     assert not unused, f"defined in src/spinamp but named nowhere else there: {unused}"
+
+
+def _constants():
+    """(module, name) of each module-level ALL-CAPS name assigned, with or
+    without a leading underscore."""
+    for path in FILES:
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    yield module, target.id
+
+
+def test_every_constant_is_read_in_src():
+    """A constant is read where code loads its name or an attribute of that
+    name; an assignment, an import or a mention in a docstring or comment is
+    no read."""
+    reads = set()
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    constants = list(_constants())
+    assert len(constants) > 30  # the walk found the package's constants
+    unread = [f"{module}: {name}" for module, name in constants if name not in reads]
+    assert not unread, f"assigned in src/spinamp but read nowhere there: {unread}"

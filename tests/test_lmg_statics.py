@@ -12,7 +12,7 @@ from spinamp import lmg_statics
 from spinamp.criticality import field_sweep, susceptibility_at
 from spinamp.dicke import build_collective_operator, expectation
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics
-from helpers import densify, solvable_line_energies, symmetric_sector_basis
+from helpers import densify, explicit_hamiltonian, solvable_line_energies, symmetric_sector_basis
 from spinamp.lmg_statics import (
     EigensolverError,
     LmgParams,
@@ -48,6 +48,30 @@ def test_free_spins_large():
     assert_allclose(res.gap, 1.0, atol=1e-12)
     ground = res.ground.real
     assert abs(ground[0]) > 1.0 - 1e-12 and np.abs(ground[1:]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 401, 2000])
+def test_hamiltonian_matches_the_explicit_assembly_bit_for_bit(n):
+    """H's bands from dicke's S_x^2 against the term-by-term assembly
+    (helpers.explicit_hamiltonian) at 200 random (J_x, J_y, B_x, eps): every
+    byte, the padding and the signs of zeros included."""
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        jx, jy, eps = rng.uniform(0.0, 2.0, 3) + [0.0, 0.0, 0.1]
+        params = LmgParams(n_qubits=n, jx=float(jx), jy=float(jy), bx=float(rng.normal(0.0, 0.1)), epsilon=float(eps))
+        assert assemble_hamiltonian(params).bands.tobytes() == explicit_hamiltonian(params).bands.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 400])
+def test_drive_band_is_the_ladder_coefficients_bit_for_bit(n):
+    """Band 1 of H at B_x = 1 is c_m exactly, and (B_x P_e) c_m, the drive band
+    amplifier_dynamics.evolve forms from it, is band 1 of H at field B_x P_e."""
+    params = LmgParams(n_qubits=n, bx=1.0, **TEST_POINT)
+    c = params.space.ladder_coefficients()
+    assert np.array_equal(assemble_hamiltonian(params).bands[1], np.append(c, 0.0))
+    for pe in np.random.default_rng(n).uniform(0.0, 1.0, 200):
+        driven = assemble_hamiltonian(dataclasses.replace(params, bx=0.01 * float(pe)))
+        assert ((0.01 * pe) * c).tobytes() == driven.bands[1][:n].tobytes()
 
 
 def test_transition_line_hamiltonian_is_diagonal():
