@@ -38,6 +38,7 @@ from .dicke import (
     BandedHermitianOperator,
     DickeSpace,
     _frozen_array,
+    add_band_products,
     build_collective_operator,
     coherent_log_magnitudes,
     expectation,
@@ -196,7 +197,9 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
     cut at SERIES_CUT. The interval and K form a fixed point: starting from
     the previous stride's K, the slice widens until the K its interval needs
     fits its reach, and the coefficients are those of the stride's own
-    interval. step writes the result back into psi and returns the slice as
+    interval. Each term's product is the diagonal times psi, less the term
+    before, plus dicke.add_band_products of the two scaled off-diagonal
+    bands. step writes the result back into psi and returns the slice as
     (a, b). The scratch is a few vectors of the slice's length.
     """
     n = h.dimension
@@ -207,14 +210,9 @@ def _chebyshev_propagator(h: BandedHermitianOperator, e0: float, dt: float):
 
     def twice_scaled(psi, prev, d, u, v):
         """2 H~ psi - prev on a slice whose bands are (d, u, v)."""
-        m = psi.size
         out = d * psi
         out -= prev
-        out[: m - 1] += u * psi[1:]
-        out[1:] += u * psi[: m - 1]
-        out[: m - 2] += v * psi[2:]
-        out[2:] += v * psi[: m - 2]
-        return out
+        return add_band_products(out, psi, u, v)
 
     def series(a, b, tau):
         """The coefficients on the Gershgorin interval of rows [a, b), and its midpoint and half-width."""
@@ -278,7 +276,9 @@ def evolve(params: LmgParams, drive: DriveSchedule, grid: TimeGrid, *, snapshots
     state needs O(N) memory whatever its length.
 
     Up to k_flat, the first stored sample at or after flat_drive_start(drive),
-    evolve takes one rk4_step per step of dt, each with four pe_at calls.
+    evolve takes one rk4_step per step of dt, each with four pe_at calls:
+    each derivative is -i H(t) y on the window, the diagonal times y plus
+    dicke.add_band_products with the drive band at B_x P_e(t) and the pair band.
     After k_flat the Hamiltonian is constant, and each stride between stored
     samples is one exp(-i (H - E0) tau) from _chebyshev_propagator, a series
     on the Gershgorin interval of the stride's own slice of levels; the drive
@@ -327,16 +327,9 @@ def evolve(params: LmgParams, drive: DriveSchedule, grid: TimeGrid, *, snapshots
     def window_deriv(a, b):
         """-i H(t) y for y on the levels [a, b)."""
         d, s, v = mb0[a:b], mc[a : b - 1], mb2[a : b - 2]
-        m = b - a
 
         def deriv(t, y):
-            out = d * y
-            u = (params.bx * drive.pe_at(t)) * s
-            out[: m - 1] += u * y[1:]
-            out[1:] += u * y[: m - 1]
-            out[: m - 2] += v * y[2:]
-            out[2:] += v * y[: m - 2]
-            return out
+            return add_band_products(d * y, y, (params.bx * drive.pe_at(t)) * s, v)
 
         return deriv
 

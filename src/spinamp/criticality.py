@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,8 +43,9 @@ class InsufficientDataError(ValueError):
     """Fewer than three usable points inside the fit window."""
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
+    """The statics at one sweep field; the fields are the columns of the sweep CSVs, in order."""
+
     bx: float
     zeta_x: float
     zeta_y: float
@@ -56,12 +56,11 @@ class SweepPoint:
     eta: float
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     """Least-squares power law on (log x, log y); exponent is the slope.
 
     The fit used the n_points points whose x lies in [window_lo, window_hi].
-    The fields are the columns of the fits CSV, in order.
+    The fields are the columns of the fits CSV after its quantity, in order.
     """
 
     exponent: float

@@ -1,9 +1,10 @@
 """Collective-spin (Dicke basis) linear algebra.
 
 Everything lives in the maximal-spin sector of N spin-1/2 qubits, where the
-2^N-dimensional problem collapses to dimension N+1. Operators are stored as
-real symmetric bands: S_z is diagonal, S_x is tridiagonal, and S_x^2 and
-S_y^2 are pentadiagonal with closed-form matrix elements. S_y itself is
+2^N-dimensional problem collapses to dimension N+1. Operators are stored in
+one shape, as real symmetric pentadiagonal bands: S_z is diagonal, S_x is
+tridiagonal, and S_x^2 and S_y^2 are pentadiagonal with closed-form matrix
+elements. S_y itself is
 imaginary in this basis and is not provided: the amplifier Hamiltonian is
 real, so its ground state is real and <S_y> and Re<S_x S_y> vanish
 identically (the 2^N oracle in ``harness.oracle`` keeps S_y as the check).
@@ -55,27 +56,46 @@ class DickeSpace:
         return np.sqrt(s * (s + 1.0) - m * (m + 1.0))
 
 
+def add_band_products(out: np.ndarray, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Add to out the products of x with the off-diagonal bands of a symmetric
+    pentadiagonal matrix, and return out.
+
+    For x and out of length m, u is the first band (length m - 1) and v the
+    second (length m - 2), unpadded: u[i] is the element (i, i+1) and v[i]
+    the element (i, i+2). The sums run band 1 above, band 1 below, band 2
+    above, band 2 below. This is the one banded product in the package:
+    BandedHermitianOperator.matvec and row_radius, the amplifier's RK4
+    derivative and Chebyshev recurrence, and the E1 start vector of the
+    shift-invert solve all call it.
+    """
+    m = x.size
+    out[: m - 1] += u * x[1:]
+    out[1:] += u * x[: m - 1]
+    out[: m - 2] += v * x[2:]
+    out[2:] += v * x[: m - 2]
+    return out
+
+
 @dataclass(frozen=True)
 class BandedHermitianOperator:
-    """Real symmetric operator stored as its main and upper diagonals.
+    """Real symmetric pentadiagonal operator stored as its main and two upper diagonals.
 
-    ``bands[k][i]`` is the element (i, i+k); the lower bands follow by
-    symmetry and are never stored. Entries of band k with index >=
-    dimension-k are padding and must be zero. Every operator the amplifier
-    needs (S_z, S_x, S_x^2, S_y^2 and the Hamiltonian) is real in the Dicke
-    basis, so no imaginary part is carried.
+    bands has shape (3, dimension), and ``bands[k][i]`` is the element
+    (i, i+k); the lower bands follow by symmetry and are never stored.
+    Entries of band k with index >= dimension-k are padding and must be
+    zero. Every operator the amplifier needs (S_z, S_x, S_x^2, S_y^2 and the
+    Hamiltonian) is real and at most pentadiagonal in the Dicke basis, so no
+    imaginary part and no other shape is carried; S_z and S_x have zero
+    upper bands where they are narrower.
     """
 
+    bandwidth = 2  # the levels one product reaches on each side
     dimension: int
-    bandwidth: int
     bands: np.ndarray
 
     def __post_init__(self):
-        if self.bands.shape != (self.bandwidth + 1, self.dimension):
-            raise ValueError(
-                f"bands shape {self.bands.shape} does not match "
-                f"(bandwidth+1, dimension) = {(self.bandwidth + 1, self.dimension)}"
-            )
+        if self.bands.shape != (3, self.dimension):
+            raise ValueError(f"bands shape {self.bands.shape} does not match (3, dimension {self.dimension})")
         object.__setattr__(self, "bands", _frozen_array(self.bands))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -83,22 +103,13 @@ class BandedHermitianOperator:
         n = self.dimension
         if x.shape != (n,):
             raise ValueError(f"vector length {x.shape} does not match dimension {n}")
-        y = self.bands[0] * x
-        for k in range(1, self.bandwidth + 1):
-            u = self.bands[k][: n - k]
-            y[: n - k] += u * x[k:]
-            y[k:] += u * x[: n - k]
-        return y
+        return add_band_products(self.bands[0] * x, x, self.bands[1][: n - 1], self.bands[2][: n - 2])
 
     def row_radius(self) -> np.ndarray:
         """Gershgorin radii: per row, the sum of |off-diagonal entries|."""
         n = self.dimension
-        radius = np.zeros(n)
-        for k in range(1, self.bandwidth + 1):
-            u = np.abs(self.bands[k][: n - k])
-            radius[: n - k] += u
-            radius[k:] += u
-        return radius
+        u, v = np.abs(self.bands[1][: n - 1]), np.abs(self.bands[2][: n - 2])
+        return add_band_products(np.zeros(n), np.ones(n), u, v)
 
     def norm_upper_bound(self) -> float:
         """Infinity norm computed from the stored bands."""
@@ -121,9 +132,11 @@ class BandedHermitianOperator:
 def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianOperator:
     """Build S_z, S_x, or the analytic pentadiagonal S_x^2 / S_y^2.
 
-    The squares use the closed-form matrix elements
-    <m|S_a^2|m> = [S(S+1) - m^2]/2 and <m|S_a^2|m+2> = +-c_m c_{m+1}/4
-    rather than a matrix product, which keeps the bandwidth exactly 2.
+    S_z is diagonal and S_x tridiagonal; both come in the one pentadiagonal
+    shape, with zero upper bands beyond their own. The squares use the
+    closed-form matrix elements <m|S_a^2|m> = [S(S+1) - m^2]/2 and
+    <m|S_a^2|m+2> = +-c_m c_{m+1}/4 rather than a matrix product, which
+    keeps the bandwidth exactly 2.
     """
     if which not in OPERATOR_TAGS:
         raise ValueError(f"unknown operator tag {which!r}; expected one of {OPERATOR_TAGS}")
@@ -131,20 +144,16 @@ def build_collective_operator(space: DickeSpace, which: str) -> BandedHermitianO
     m = space.m_values()
     c = space.ladder_coefficients()
     s = space.n_qubits / 2.0
-
-    if which == "Sz":
-        return BandedHermitianOperator(n, 0, m[np.newaxis, :].copy())
-
-    if which == "Sx":
-        bands = np.zeros((2, n))
-        bands[1, : n - 1] = c / 2.0
-        return BandedHermitianOperator(n, 1, bands)
-
     bands = np.zeros((3, n))
-    bands[0] = (s * (s + 1.0) - m * m) / 2.0
-    pair = c[:-1] * c[1:] / 4.0 if n >= 3 else np.zeros(0)
-    bands[2, : n - 2] = pair if which == "Sx2" else -pair
-    return BandedHermitianOperator(n, 2, bands)
+    if which == "Sz":
+        bands[0] = m
+    elif which == "Sx":
+        bands[1, : n - 1] = c / 2.0
+    else:
+        bands[0] = (s * (s + 1.0) - m * m) / 2.0
+        pair = c[:-1] * c[1:] / 4.0
+        bands[2, : n - 2] = pair if which == "Sx2" else -pair
+    return BandedHermitianOperator(n, bands)
 
 
 def expectation(op: BandedHermitianOperator, state: np.ndarray) -> float:

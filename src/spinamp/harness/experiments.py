@@ -148,12 +148,12 @@ def verify_manifest(manifest_path) -> bool:
 # --------------------------------------------------------------------------
 # shared pieces
 
-SWEEP_CSV = tuple(f.name for f in dataclasses.fields(SweepPoint))
+SWEEP_CSV = SweepPoint._fields
 GAIN_CSV = ("t", "pe", "sx2", "sy2", "gain")
 QFUNC_CSV = ("theta", "phi", "q")
 TMAP_CSV = ("delta_pp", "gamma", "pe_steady")
 SIZE_CSV = SizePoint._fields
-FITS_CSV = ("quantity", *(f.name for f in dataclasses.fields(ScalingFit)))
+FITS_CSV = ("quantity", *ScalingFit._fields)
 GAIN_SCALING_CSV = ("n", "g_max", "t_am")
 ABSORPTION_CSV = ("t", "pe")
 
@@ -187,8 +187,12 @@ def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, rec
     return traj
 
 
-def _fit_row(name, fit):
-    return (name, *dataclasses.astuple(fit))
+def _fit(quantity, points, window):
+    """fit_power_law(points, window), its refusal prefixed by the quantity fitted."""
+    try:
+        return fit_power_law(points, window)
+    except ValueError as err:
+        raise type(err)(f"{quantity}: {err}") from err
 
 
 def _exact(value: float) -> str:
@@ -280,10 +284,10 @@ def _run_fig4(cfg, run):
     (params,) = _models(cfg)
     with run.stage("field-sweep"):
         points = field_sweep(params, cfg.sweep.values())
-    run.csv("susceptibility_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
+    run.csv("susceptibility_sweep.csv", SWEEP_CSV, points)
     with run.stage("fit"):
-        chi_fit = fit_power_law([(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
-        run.csv("fits.csv", FITS_CSV, [_fit_row("chi", chi_fit)])
+        chi_fit = _fit("chi", [(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
+        run.csv("fits.csv", FITS_CSV, [("chi", *chi_fit)])
     with run.stage("size-sweep"):
         rows = size_sweep(params, 1e-5, np.arange(200, 2001, 200))
         run.csv("chi_vs_n.csv", SIZE_CSV, rows)
@@ -309,11 +313,11 @@ def _run_fig5(cfg, run):
     (params,) = _models(cfg)
     with run.stage("field-sweep"):
         points = field_sweep(params, cfg.sweep.values())
-    run.csv("correlation_gap_sweep.csv", SWEEP_CSV, map(dataclasses.astuple, points))
+    run.csv("correlation_gap_sweep.csv", SWEEP_CSV, points)
     with run.stage("fit"):
-        c_fit = fit_power_law([(p.bx, abs(p.c_xxyy)) for p in points], CXXYY_FIT_WINDOW)
-        gap_fit = fit_power_law([(p.bx, p.gap) for p in points], GAP_FIT_WINDOW)
-        run.csv("fits.csv", FITS_CSV, [_fit_row("abs_c_xxyy", c_fit), _fit_row("gap", gap_fit)])
+        c_fit = _fit("abs_c_xxyy", [(p.bx, abs(p.c_xxyy)) for p in points], CXXYY_FIT_WINDOW)
+        gap_fit = _fit("gap", [(p.bx, p.gap) for p in points], GAP_FIT_WINDOW)
+        run.csv("fits.csv", FITS_CSV, [("abs_c_xxyy", *c_fit), ("gap", *gap_fit)])
     run.chart(
         "correlation_gap.svg",
         [
@@ -376,7 +380,7 @@ def _run_figs8(cfg, run):
         n = params.n_qubits
         with run.stage(f"field-sweep-n={n}"):
             points = field_sweep(params, cfg.sweep.values())
-        run.csv(f"eta_n{n}.csv", SWEEP_CSV, map(dataclasses.astuple, points))
+        run.csv(f"eta_n{n}.csv", SWEEP_CSV, points)
         curves.append(([p.bx for p in points], [p.eta for p in points], f"N={n}", "line"))
     run.chart("eta.svg", curves, "bx", "eta", "correlated fraction vs field", logx=True)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dicke import BandedHermitianOperator, DickeSpace, build_collective_operator, expectation
+from .dicke import BandedHermitianOperator, DickeSpace, add_band_products, build_collective_operator, expectation
 
 
 class EigensolverError(RuntimeError):
@@ -115,7 +115,7 @@ def assemble_hamiltonian(params: LmgParams) -> BandedHermitianOperator:
     )
     bands[1, : dim - 1] = params.bx * space.ladder_coefficients()
     bands[2, : dim - 2] = -(2.0 / n_q) * (params.jx - params.jy) * sx2[2, : dim - 2]
-    return BandedHermitianOperator(dim, 2, bands)
+    return BandedHermitianOperator(dim, bands)
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -172,7 +172,7 @@ def _factor(h: BandedHermitianOperator, sigma: float):
     """
     bands = h.bands.copy()
     bands[0] -= sigma
-    shifted = BandedHermitianOperator(h.dimension, h.bandwidth, bands)
+    shifted = BandedHermitianOperator(h.dimension, bands)
     chol, info = scipy.linalg.lapack.dpbtrf(shifted.scipy_upper_bands())
     return None if info else (shifted, chol)
 
@@ -247,8 +247,9 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
     2. Ground pair: inverse iteration with the last factor, E0 its Rayleigh
        quotient; the residual guard checks it before step 3.
     3. E1: Lanczos on (H - sigma)^-1 deflated by the ground vector, started
-       from the field term 2 B_x S_x applied to it, which flips the m-parity
-       that labels the zero-field doublet. One Krylov vector cannot resolve
+       from the field term 2 B_x S_x applied to it (H's band 1 alone, through
+       dicke.add_band_products), which flips the m-parity that labels the
+       zero-field doublet. One Krylov vector cannot resolve
        a nearly degenerate E1, E2 pair, so there E1 may sit up to their
        splitting above its exact value.
 
@@ -297,8 +298,8 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
     e0 = sigma + theta0
     _check_residual(h, e0, x, params)
 
-    field = BandedHermitianOperator(n, 1, np.vstack([np.zeros(n), h.bands[1]]))
-    mu1, res1, y, converged = _top_ritz(chol, field.matvec(x), _EXCITED_TOL, deflate=x)
+    start = add_band_products(0.0 * x, x, h.bands[1][: n - 1], np.zeros(max(n - 2, 0)))
+    mu1, res1, y, converged = _top_ritz(chol, start, _EXCITED_TOL, deflate=x)
     if not converged:
         raise EigensolverError(
             "excited",

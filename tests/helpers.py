@@ -2,10 +2,12 @@
 states, the amplifier Hamiltonian written out term by term, the analytic
 J_x = J_y spectrum, a pulse's norm on a grid, a Q-function's norm and plane
 masses, the full-space Dicke basis and Kronecker-sum collective operators the
-2^N oracle is checked against, the absorber stepped as one array, and the
-Chebyshev series on the whole Hamiltonian's interval."""
+2^N oracle is checked against, the absorber stepped as one array, the
+Chebyshev series on the whole Hamiltonian's interval, and the classical spin
+that is the amplifier's mean-field limit."""
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.special import jv
 
 from spinamp.absorber import SAMPLE_EVERY, AbsorberParams, PulseEnvelope
@@ -68,7 +70,7 @@ def explicit_hamiltonian(params: LmgParams) -> BandedHermitianOperator:
     if dim >= 3:
         pair = c[:-1] * c[1:] / 4.0
         bands[2, : dim - 2] = -(2.0 / n_q) * (params.jx - params.jy) * pair
-    return BandedHermitianOperator(dim, 2, bands)
+    return BandedHermitianOperator(dim, bands)
 
 
 def solvable_line_energies(params: LmgParams) -> np.ndarray:
@@ -240,3 +242,30 @@ def whole_interval_propagator(h: BandedHermitianOperator, e0: float, dt: float):
         return a, b
 
     return step
+
+
+def two_branch_nx2(params: LmgParams, drive: DriveSchedule, times: np.ndarray) -> np.ndarray:
+    """n_x^2 of the classical spin, averaged over its two starting branches, at times.
+
+    With S = (N/2) n, H / (N/2) is, up to a constant,
+    e = eps n_z - J_x n_x^2 - J_y n_y^2 + 2 B_x P_e(t) n_x, and the spin
+    precesses as dn/dt = grad e x n. The zero-field ground state in the
+    y-ordered phase is the even mixture of the two minima
+    n = (0, +-sqrt(1 - (eps / 2 J_y)^2), -eps / 2 J_y), so each branch
+    starts at one of them at times[0]. Each is solved by solve_ivp
+    DOP853 at rtol 1e-10 and atol 1e-12 on drive.pe_at: at solve_ivp's
+    default atol of 1e-6 the non-critical maximum is 1.1e-5 off, which moves
+    N x (mean field - quantum) at N = 6400 by 5e-4. n_x^2 of a branch does
+    not depend on N: params.n_qubits is not read.
+    """
+    eps, jx, jy, bx = params.epsilon, params.jx, params.jy, params.bx
+    nz = -eps / (2.0 * jy)
+
+    def rhs(t, n):
+        grad = np.array([2.0 * bx * drive.pe_at(t) - 2.0 * jx * n[0], -2.0 * jy * n[1], eps])
+        return np.cross(grad, n)
+
+    span = (float(times[0]), float(times[-1]))
+    starts = [[0.0, sign * np.sqrt(1.0 - nz * nz), nz] for sign in (1.0, -1.0)]
+    nx = [solve_ivp(rhs, span, n0, "DOP853", times, rtol=1e-10, atol=1e-12).y[0] for n0 in starts]
+    return (nx[0] ** 2 + nx[1] ** 2) / 2.0

@@ -28,6 +28,7 @@ from helpers import (
     coherent_amplitudes,
     densify,
     q_norm_integral,
+    two_branch_nx2,
     whole_interval_propagator,
     zero_drive,
 )
@@ -183,6 +184,32 @@ def test_flat_stretch_matches_all_rk4(registry_drive, n_qubits):
     assert np.abs(traj.sy2 - ref.sy2).max() / ref.sy2.min() < 1e-10
     g, g_ref = quantum_gain(traj).g_max, quantum_gain(ref).g_max
     assert abs(g - g_ref) / g_ref < 1e-12
+
+
+@pytest.mark.parametrize(
+    "jx, band", [(0.675, (5.0, 5.5)), (0.5, (-0.026, -0.024))], ids=["critical", "noncritical"]
+)
+def test_gain_approaches_the_two_branch_mean_field(registry_drive, jx, band):
+    """(G - 1)/N at N = 1600 and 6400 on the registry drive against its mean-field limit.
+
+    The mean field's (G - 1)/N is (N/4) max n_x^2 / <S_x^2>_0, with n_x^2
+    from helpers.two_branch_nx2 on the quantum run's samples and <S_x^2>_0
+    that of the B_x = 0 ground state; the classical spin is solved once per
+    bias. N x (mean field - quantum) measured 5.094 and 5.361 at J_x = 0.675,
+    and -0.02503 and -0.02479 at J_x = 0.5, at N = 1600 and 6400: the
+    deficit falls as 1/N, towards about 5.37 critical. The bands are
+    [5.0, 5.5] and [-0.026, -0.024].
+    """
+    grid = TimeGrid(1e-3, -5.0, 20.0, 25)
+    _, times, _ = sample_plan(grid)
+    params = LmgParams(n_qubits=1, jx=jx, jy=0.7, bx=0.01)
+    nx2 = two_branch_nx2(params, registry_drive, times).max()
+    for n in (1600, 6400):
+        params = dataclasses.replace(params, n_qubits=n)
+        quantum = (quantum_gain(evolve(params, registry_drive, grid)).g_max - 1.0) / n
+        ground = solve_ground(dataclasses.replace(params, bx=0.0)).ground
+        mean_field = (n / 4.0) * nx2 / expectation(build_collective_operator(params.space, "Sx2"), ground)
+        assert band[0] <= n * (mean_field - quantum) <= band[1], (n, mean_field, quantum)
 
 
 def test_pe_at_is_np_interp_bit_for_bit(registry_drive):

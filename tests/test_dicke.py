@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from spinamp.dicke import (
     BandedHermitianOperator,
     DickeSpace,
+    add_band_products,
     build_collective_operator,
     expectation,
 )
@@ -107,15 +108,38 @@ def test_oracle_collective_operators_match_the_kronecker_sum(n):
 @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("bandwidth", [0, 1, 2])
 def test_row_radius_is_the_dense_gershgorin_radius(bandwidth, dimension):
-    """Integer entries of both signs, so every sum is exact in any order."""
+    """Integer entries of both signs, so every sum is exact in any order;
+    the bands above bandwidth are zero, as in S_z and S_x."""
     rng = np.random.default_rng(10 * bandwidth + dimension)
-    bands = rng.integers(-9, 10, size=(bandwidth + 1, dimension)).astype(float)
+    bands = np.zeros((3, dimension))
+    bands[: bandwidth + 1] = rng.integers(-9, 10, size=(bandwidth + 1, dimension))
     for k in range(1, bandwidth + 1):
         bands[k, max(dimension - k, 0) :] = 0.0  # padding
-    op = BandedHermitianOperator(dimension, bandwidth, bands)
+    op = BandedHermitianOperator(dimension, bands)
     dense = densify(op)
     assert np.array_equal(op.row_radius(), np.abs(dense - np.diag(np.diag(dense))).sum(axis=1))
     assert op.norm_upper_bound() == np.abs(dense).sum(axis=1).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+@pytest.mark.parametrize("fold", [1.0, -1j], ids=["real", "folded"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_add_band_products_is_the_dense_product(m, fold, dtype):
+    """Integer entries, so every sum is exact in any order. fold = -1j gives
+    the amplifier's -i H bands; out starts with the diagonal term, and m = 1
+    and 2 leave some of the slices empty."""
+    rng = np.random.default_rng(m)
+    bands = np.zeros((3, m))
+    bands[0] = rng.integers(-9, 10, size=m)
+    bands[1, : m - 1] = rng.integers(-9, 10, size=max(m - 1, 0))
+    bands[2, : m - 2] = rng.integers(-9, 10, size=max(m - 2, 0))
+    x = rng.integers(-9, 10, size=m).astype(dtype)
+    if dtype is complex:
+        x += 1j * rng.integers(-9, 10, size=m)
+    out = fold * bands[0] * x
+    got = add_band_products(out, x, fold * bands[1][: m - 1], fold * bands[2][: m - 2])
+    assert got is out
+    assert np.array_equal(got, fold * densify(BandedHermitianOperator(m, bands)) @ x)
 
 
 def test_expectation_lowest_weight_values():

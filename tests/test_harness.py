@@ -539,6 +539,15 @@ def test_cli_run_several_experiments(tmp_path, capsys):
     assert "  absorber: " in out and "  field-sweep: " in out  # stage seconds
 
 
+def test_fit_refusal_names_the_quantity(tmp_path, capsys):
+    """Off the transition line fig5's gap sits at rounding level, of either
+    sign, and fit_power_law refuses it; the message names the gap."""
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text("[run]\nexperiment = fig5_correlation_gap\n[model]\nn_qubits = 200\njx = 0.5\njy = 0.7\n")
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("[fit] gap: nonpositive or non-finite values inside fit window: ")
+
+
 def test_manifest_records_peak_rss_of_every_stage(tmp_path, capsys):
     assert main(["run", "fig5_correlation_gap", "--out", str(tmp_path)]) == 0
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]

@@ -1,5 +1,5 @@
 """Every definition and every module-level constant in src/spinamp has a
-reader in src/spinamp.
+reader in src/spinamp, and the banded product lives in dicke alone.
 
 Code that only the tests read lives in tests/helpers.py, so a function,
 class or method that nothing in the package names beyond its own
@@ -69,3 +69,18 @@ def test_every_constant_is_read_in_src():
     assert len(constants) > 30  # the walk found the package's constants
     unread = [f"{module}: {name}" for module, name in constants if name not in reads]
     assert not unread, f"assigned in src/spinamp but read nowhere there: {unread}"
+
+
+def test_slice_updates_live_in_dicke():
+    """An augmented assignment to a slice, such as out[: m - 1] += u * x[1:],
+    is the work of a banded product; dicke.add_band_products is the one
+    product the package has, so no other module makes one. Updates by index
+    or by an index array are not slices."""
+    found = []
+    for path in FILES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            target = node.target if isinstance(node, ast.AugAssign) else None
+            if isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice):
+                found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert found  # the walk found add_band_products
+    assert all(place.startswith("dicke.py:") for place in found), found
