@@ -105,20 +105,19 @@ def field_sweep(params: LmgParams, bx_values: Sequence[float]) -> list[SweepPoin
             ops = order_parameters(result)
             corr = correlations(result)
             chi = susceptibility_at(params, float(bx))
-        except Exception as err:
-            raise RuntimeError(f"field sweep failed at bx = {bx:.6e}: {err}") from err
-        points.append(
-            SweepPoint(
+            point = SweepPoint(
                 bx=float(bx),
                 zeta_x=ops.zeta_x,
                 zeta_y=ops.zeta_y,
                 sqrt_zeta_x=float(np.sqrt(ops.zeta_x)),
                 chi=chi,
-                gap=result.gap,
+                gap=result.gap,  # E1's Lanczos runs here, on the first read
                 c_xxyy=corr.c_xxyy,
                 eta=corr.eta,
             )
-        )
+        except Exception as err:
+            raise RuntimeError(f"field sweep failed at bx = {bx:.6e}: {err}") from err
+        points.append(point)
     return points
 
 

@@ -7,7 +7,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from ..lmg_statics import LmgParams, correlations, order_parameters, solve_ground
+from ..lmg_statics import EigensolverError, LmgParams, correlations, order_parameters, solve_ground
 from .config import ConfigError, OutputSection, apply_overrides, parse_config_text
 from .experiments import REGISTRY, ExperimentError, default_config, run_experiment
 from .oracle import brute_force_statics
@@ -66,14 +66,15 @@ def _cmd_oracle(args) -> int:
         params = LmgParams(n_qubits=args.n, jx=args.jx, jy=args.jy, bx=args.bx)
         ob = brute_force_statics(args.n, args.jx, args.jy, args.bx)
         res = solve_ground(params)
+        gap = res.gap
         ops = order_parameters(res)
         corr = correlations(res)
-    except ValueError as err:
+    except (ValueError, EigensolverError) as err:
         print(f"[oracle] {err}", file=sys.stderr)
         return 1
     rows = [
         ("e0", ob.e0, res.e0),
-        ("gap", ob.gap, res.gap),
+        ("gap", ob.gap, gap),
         ("zeta_x", ob.zeta_x, ops.zeta_x),
         ("zeta_y", ob.zeta_y, ops.zeta_y),
         # the collective ground state is real, so <S_y> and Re<S_x S_y> vanish exactly

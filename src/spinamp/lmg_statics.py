@@ -16,8 +16,10 @@ existence certifies sigma < E0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -61,14 +63,23 @@ class LmgParams:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """E0, the ground vector and its parameters; the gap E1 - E0 is found on its first read.
+
+    excited is the gap where the solve found it with the ground pair (B_x = 0),
+    or else the E1 step that finds it, run once by the first read of gap.
+    """
+
     e0: float
-    gap: float
     ground: np.ndarray
     params: LmgParams
+    excited: float | Callable[[], float] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.gap < -1e-10:
-            raise ValueError(f"eigenvalues out of order: gap = {self.gap}")
+    @functools.cached_property
+    def gap(self) -> float:
+        gap = self.excited() if callable(self.excited) else self.excited
+        if gap < -1e-10:
+            raise ValueError(f"eigenvalues out of order: gap = {gap}")
+        return gap
 
 
 @dataclass(frozen=True)
@@ -237,7 +248,7 @@ def _check_residual(h: BandedHermitianOperator, e0: float, vec: np.ndarray, para
 
 
 def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
-    """E0, E1 - E0 and the ground vector at B_x != 0 from Cholesky factors of H - sigma*I.
+    """E0, the E1 step and the ground vector at B_x != 0 from Cholesky factors of H - sigma*I.
 
     1. Certified shift: sigma starts at the Gershgorin floor. Each round runs
        Lanczos on (H - sigma)^-1 and moves sigma to the Kato lower bound of its
@@ -246,12 +257,13 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
        failed trial is halved back towards sigma.
     2. Ground pair: inverse iteration with the last factor, E0 its Rayleigh
        quotient; the residual guard checks it before step 3.
-    3. E1: Lanczos on (H - sigma)^-1 deflated by the ground vector, started
-       from the field term 2 B_x S_x applied to it (H's band 1 alone, through
-       dicke.add_band_products), which flips the m-parity that labels the
-       zero-field doublet. One Krylov vector cannot resolve
-       a nearly degenerate E1, E2 pair, so there E1 may sit up to their
-       splitting above its exact value.
+    3. E1 (``_excited_gap``), handed back unrun with the last factor and run
+       when the gap is first read: Lanczos on (H - sigma)^-1 deflated by the
+       ground vector, started from the field term 2 B_x S_x applied to it
+       (H's band 1 alone, through dicke.add_band_products), which flips the
+       m-parity that labels the zero-field doublet. One Krylov vector cannot
+       resolve a nearly degenerate E1, E2 pair, so there E1 may sit up to
+       their splitting above its exact value.
 
     Energies are taken as sigma plus Rayleigh quotients of H - sigma*I, so the
     gap is a difference of two small numbers (Ericsson and Ruhe, Math. Comp.
@@ -297,9 +309,20 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
     x = _fix_sign(x)
     e0 = sigma + theta0
     _check_residual(h, e0, x, params)
+    return e0, functools.partial(_excited_gap, shifted, chol, x, theta0, params), x
 
-    start = add_band_products(0.0 * x, x, h.bands[1][: n - 1], np.zeros(max(n - 2, 0)))
-    mu1, res1, y, converged = _top_ritz(chol, start, _EXCITED_TOL, deflate=x)
+
+def _excited_gap(
+    shifted: BandedHermitianOperator, chol: np.ndarray, ground: np.ndarray, theta0: float, params: "LmgParams"
+) -> float:
+    """Step 3 of ``_ground_by_shift_invert``: E1 - E0 from the final factor of H - sigma*I.
+
+    theta0 is the ground vector's Rayleigh quotient of H - sigma*I; H's band 1
+    is ``shifted``'s, since the shift moves band 0 only.
+    """
+    n = shifted.dimension
+    start = add_band_products(0.0 * ground, ground, shifted.bands[1][: n - 1], np.zeros(max(n - 2, 0)))
+    mu1, res1, y, converged = _top_ritz(chol, start, _EXCITED_TOL, deflate=ground)
     if not converged:
         raise EigensolverError(
             "excited",
@@ -309,7 +332,7 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
             params,
         )
     theta1, _ = _rayleigh(shifted, y)
-    return e0, theta1 - theta0, x
+    return theta1 - theta0
 
 
 def solve_ground(params: LmgParams) -> GroundStateResult:
@@ -323,14 +346,17 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     certified shift sigma < E0 gives a banded Cholesky factor of H - sigma*I,
     and the ground pair and E1 come from inverse iteration and Lanczos with
     that factor (``_ground_by_shift_invert``); no step forms an N x N array
-    or costs more than O(N) per iteration.
+    or costs more than O(N) per iteration. There E1's Lanczos runs when
+    the result's gap is first read, not here: a solve whose gap nothing
+    reads never runs it.
     The vector is real, with a deterministic global sign; its residual must
     stay within 1e-8 * max(|H|, 1). A failure raises EigensolverError naming
-    the step: ``parity``, ``shift``, ``residual`` or ``excited``.
+    the step: ``parity``, ``shift`` or ``residual`` from this call, and
+    ``excited`` from the first read of the gap.
     """
     h = assemble_hamiltonian(params)
-    e0, gap, vec = (_ground_by_shift_invert if params.bx != 0.0 else _ground_by_parity)(h, params)
-    return GroundStateResult(e0=e0, gap=gap, ground=vec, params=params)
+    e0, excited, vec = (_ground_by_shift_invert if params.bx != 0.0 else _ground_by_parity)(h, params)
+    return GroundStateResult(e0=e0, ground=vec, params=params, excited=excited)
 
 
 def order_parameters(result: GroundStateResult) -> OrderParameters:

@@ -11,8 +11,9 @@ from spinamp.criticality import (
     size_sweep,
     susceptibility_at,
 )
+from spinamp import lmg_statics
 from spinamp.harness.oracle import brute_force_hamiltonian, brute_force_statics, collective_operators
-from spinamp.lmg_statics import LmgParams
+from spinamp.lmg_statics import LmgParams, solve_ground
 
 
 def test_fit_power_law_exact_quadratic():
@@ -124,6 +125,51 @@ def test_field_sweep_deterministic_and_schema():
     assert a == b  # bit-for-bit identical dataclasses
     assert a.sqrt_zeta_x == np.sqrt(a.zeta_x)
     assert a.gap >= 0.0 and np.isfinite(a.chi)
+
+
+def test_field_sweep_names_the_field_of_a_failing_excited_level():
+    # a nonzero dstev info once the first ground pair has passed its guard
+    # fails E1, which runs when the sweep reads the gap
+    real_check, real_stev = lmg_statics._check_residual, scipy.linalg.lapack.dstev
+    checked = []
+
+    def noting_check(*args):
+        real_check(*args)
+        checked.append(True)
+
+    def failing_stev(d, e, **kwargs):
+        w, v, info = real_stev(d, e, **kwargs)
+        return w, v, (1 if checked else info)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_check_residual", noting_check)
+        mp.setattr(scipy.linalg.lapack, "dstev", failing_stev)
+        refusal = r"^field sweep failed at bx = 1\.000000e-03: \[excited\] E1 not converged"
+        with pytest.raises(RuntimeError, match=refusal):
+            field_sweep(LmgParams(n_qubits=200, jx=0.7, jy=0.7), [1e-3])
+
+
+def test_excited_level_runs_once_per_gap_read():
+    """E1's deflated Lanczos runs only where a gap is read, once: for each
+    field_sweep point, and neither for the chi differences nor for the
+    size scan's probes, whose gap comes from the B_x = 0 solve."""
+    real_top_ritz = lmg_statics._top_ritz
+    deflated = []
+
+    def counting_top_ritz(chol, start, tol, deflate=None):
+        deflated.append(deflate is not None)
+        return real_top_ritz(chol, start, tol, deflate)
+
+    params = LmgParams(n_qubits=200, jx=0.7, jy=0.7)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_top_ritz", counting_top_ritz)
+        field_sweep(params, np.geomspace(1e-5, 1e-3, 5))
+        size_sweep(params, 1e-5, [200, 400, 800])
+        assert sum(deflated) == 5
+        result = solve_ground(LmgParams(n_qubits=200, jx=0.7, jy=0.7, bx=1e-3))
+        assert sum(deflated) == 5
+        assert result.gap == result.gap
+    assert sum(deflated) == 6
 
 
 def test_field_sweep_rejects_nonpositive_bx():

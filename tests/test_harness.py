@@ -9,7 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spinamp import lmg_statics
 from spinamp.absorber import AbsorberParams, integrate_hierarchy
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
@@ -510,6 +512,29 @@ def test_cli_oracle_names_a_non_finite_coupling(capsys):
     assert capsys.readouterr().err == "[oracle] jy must be finite, got nan\n"
 
 
+def test_cli_oracle_reports_a_failing_excited_level(capsys):
+    # a nonzero dstev info once the ground pair has passed its guard fails E1,
+    # which the oracle runs when it reads the gap
+    real_check, real_stev = lmg_statics._check_residual, scipy.linalg.lapack.dstev
+    checked = []
+
+    def noting_check(*args):
+        real_check(*args)
+        checked.append(True)
+
+    def failing_stev(d, e, **kwargs):
+        w, v, info = real_stev(d, e, **kwargs)
+        return w, v, (1 if checked else info)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lmg_statics, "_check_residual", noting_check)
+        mp.setattr(scipy.linalg.lapack, "dstev", failing_stev)
+        assert main(["oracle", "--n", "6", "--jx", "0.7", "--jy", "0.7", "--bx", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("[oracle] [excited] E1 not converged within 40 Lanczos steps")
+    assert captured.out == ""
+
+
 def test_cli_run_refuses_an_output_directory_under_a_file(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -620,6 +645,21 @@ def test_cli_run_refuses_a_step_count_past_float_range(tmp_path, capsys):
     error, both as the config is merged and from the command line."""
     text = SMALL_FIGS1.replace("dt = 5e-3", "dt = 1e-300").replace("t_end = 2.0", "t_end = 1e308")
     refusal = "[integration] the step count (t_end - t_start) / dt must be finite, got inf"
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        apply_overrides(default_config("figS1_absorption"), parse_config_text(text)[1])
+    cfg_file = tmp_path / "c.ini"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "figS1_absorption", "--config", str(cfg_file), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"[config] {refusal}\n"
+    assert not out_dir.exists()
+
+
+def test_cli_run_refuses_a_step_count_past_the_cap(tmp_path, capsys):
+    """A finite step count above MAX_STEPS is a [config] [integration] error,
+    both as the config is merged and from the command line."""
+    text = SMALL_FIGS1.replace("dt = 5e-3", "dt = 1e-9").replace("t_end = 2.0", "t_end = 1e6")
+    refusal = "[integration] the step count (t_end - t_start) / dt must be at most 1000000000, got 1000005000000000"
     with pytest.raises(ConfigError, match=re.escape(refusal)):
         apply_overrides(default_config("figS1_absorption"), parse_config_text(text)[1])
     cfg_file = tmp_path / "c.ini"

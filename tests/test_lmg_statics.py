@@ -407,7 +407,7 @@ def test_excited_level_stops_at_its_iteration_cap():
         mp.setattr(lmg_statics, "_check_residual", noting_check)
         mp.setattr(scipy.linalg.lapack, "dpbtrs", noisy_solve)
         with pytest.raises(EigensolverError, match=r"\[excited\] E1 not converged within 40") as err:
-            solve_ground(params)
+            solve_ground(params).gap
     assert err.value.step == "excited" and "bx=0.001" in str(err.value)
 
 
@@ -455,7 +455,7 @@ def test_failed_ritz_step_is_not_converged():
         mp.setattr(lmg_statics, "_check_residual", noting_check)
         mp.setattr(scipy.linalg.lapack, "dstev", failing_stev)
         with pytest.raises(EigensolverError, match=r"\[excited\] E1 not converged") as err:
-            solve_ground(params)
+            solve_ground(params).gap
     assert err.value.step == "excited"
 
     # failing from the first shift round on, the solve still fails loudly and
@@ -468,7 +468,7 @@ def test_failed_ritz_step_is_not_converged():
         mp.setattr(lmg_statics, "_factor", noting_factor)
         mp.setattr(scipy.linalg.lapack, "dstev", lambda d, e, **kwargs: (*real_stev(d, e, **kwargs)[:2], 1))
         with pytest.raises(EigensolverError):
-            solve_ground(params)
+            solve_ground(params).gap
     assert shifts and all(np.isfinite(shifts))
 
 

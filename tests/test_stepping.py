@@ -5,7 +5,7 @@ import pytest
 
 from spinamp.harness.config import parse_config_text, serialize_config
 from spinamp.harness.experiments import default_config
-from spinamp.stepping import TimeGrid
+from spinamp.stepping import MAX_STEPS, TimeGrid
 
 
 @pytest.mark.parametrize("name", ["dt", "t_start", "t_end"])
@@ -28,11 +28,20 @@ def test_time_grid_refuses_a_non_finite_field_by_name(name, bad):
         # each field is finite, the step count is not
         (dict(dt=1e-300, t_end=1e308), r"the step count \(t_end - t_start\) / dt must be finite, got inf"),
         (dict(t_start=-1e308, t_end=1e308), r"the step count \(t_end - t_start\) / dt must be finite, got inf"),
+        # finite, but one step past the cap
+        (
+            dict(dt=1.0, t_start=0.0, t_end=1e9 + 1.0),
+            r"the step count \(t_end - t_start\) / dt must be at most 1000000000, got 1000000001",
+        ),
     ],
 )
 def test_time_grid_refusals(fields, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         TimeGrid(**{**dict(dt=1e-3, t_start=-1.0, t_end=1.0), **fields})
+
+
+def test_time_grid_takes_max_steps():
+    assert TimeGrid(1.0, 0.0, float(MAX_STEPS)).n_steps == MAX_STEPS
 
 
 def test_n_steps_rounds_the_span():
