@@ -9,7 +9,7 @@ from pathlib import Path
 
 from ..lmg_statics import EigensolverError, LmgParams, correlations, order_parameters, solve_ground
 from .config import ConfigError, OutputSection, apply_overrides, parse_config_text
-from .experiments import REGISTRY, ExperimentError, default_config, run_experiment
+from .experiments import REGISTRY, ExperimentError, default_config, plan, run_experiment
 from .oracle import brute_force_statics
 
 
@@ -43,21 +43,24 @@ def _cmd_run(args) -> int:
     except (ConfigError, OSError) as err:
         print(f"[config] {err}", file=sys.stderr)
         return 1
-    for cfg in cfgs:
-        try:
-            manifest = run_experiment(cfg)
-        except ExperimentError as err:
-            print(str(err), file=sys.stderr)
-            return 1
-        for entry in manifest.outputs:
-            print(f"wrote {cfg.output.directory}/{entry['path']}")
-        for stage in manifest.stages:
-            line = f"  {stage['name']}: {stage['seconds']:.2f} s, peak RSS {stage['peak_rss_mb']:.1f} MB"
-            if "max_window" in stage:
-                line += f", widest window {stage['max_window']} levels, norm drift {stage['norm_drift']:.2e}"
-            print(line)
-        total = sum(s["seconds"] for s in manifest.stages)
-        print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
+    try:
+        shared = plan(cfgs)  # every config is checked before any stage runs
+        for cfg in cfgs:
+            manifest = run_experiment(cfg, shared)
+            for entry in manifest.outputs:
+                print(f"wrote {cfg.output.directory}/{entry['path']}")
+            for stage in manifest.stages:
+                line = f"  {stage['name']}: {stage['seconds']:.2f} s, peak RSS {stage['peak_rss_mb']:.1f} MB"
+                if "max_window" in stage:
+                    line += f", widest window {stage['max_window']} levels, norm drift {stage['norm_drift']:.2e}"
+                if "reused_from" in stage:
+                    line += f", reused from {stage['reused_from']}"
+                print(line)
+            total = sum(s["seconds"] for s in manifest.stages)
+            print(f"{cfg.experiment}: {len(manifest.outputs)} files in {total:.1f} s")
+    except ExperimentError as err:
+        print(str(err), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -120,12 +120,10 @@ def _coerce(section: str, key: str, raw: str):
         except ValueError as err:
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from err
     if kind is bool:
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError as err:
+            raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}") from err
     if kind is str:
         return raw.strip()
     try:

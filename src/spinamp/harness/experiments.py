@@ -1,11 +1,18 @@
 """Experiment registry: each entry reproduces one figure-level result.
 
+An entry declares its defaults, the times at which its trajectories keep
+the amplifier's state and its fit windows. plan(cfgs) checks every config
+against them before any stage of any run. Each runner takes the drive and
+trajectories from _driven, or the field sweeps from _sweep, which compute
+each distinct one once per plan, and writes what it reads.
+
 Outputs are CSV files with fixed column schemas (17 significant digits,
 byte-identical across reruns of the same config) plus a manifest.json
 written last, carrying the config echo, per-stage wall times and peak RSS
-(and, for a dynamics stage, the amplifier's widest window and norm drift),
-and SHA-256 digests of every emitted file. SVG emission is optional and
-presentational.
+(for a dynamics stage also the amplifier's widest window and norm drift,
+and for a stage that another run of the plan computed, reused_from naming
+that run's stage), and SHA-256 digests of every emitted file. SVG emission
+is optional and presentational.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import resource
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,7 +73,8 @@ class RunManifest:
     version: str
     config_text: str
     # [{"name":..., "seconds":..., "peak_rss_mb":...}]; a dynamics stage adds
-    # "max_window" and "norm_drift" from its AmplifierTrajectory
+    # "max_window" and "norm_drift" from its AmplifierTrajectory, and a stage
+    # another run of the plan computed adds "reused_from": "<experiment>/<stage>"
     stages: list = field(default_factory=list)
     outputs: list = field(default_factory=list)  # [{"path":..., "sha256":...}]
 
@@ -73,12 +82,24 @@ class RunManifest:
         return json.dumps(dataclasses.asdict(self), indent=2)
 
 
-class _Run:
-    """One run's stages and the files it writes into out, SVG only if asked for."""
+class Plan(NamedTuple):
+    """What the runs of one invocation share: the snapshot times each
+    trajectory key keeps, and each value a run computed, by its key, with the
+    "<experiment>/<stage>" that computed it."""
 
-    def __init__(self, out: Path, emit_svg: bool):
-        self.out = out
-        self.emit_svg = emit_svg
+    snapshots: dict
+    done: dict
+
+
+class _Run:
+    """One run of cfg: its stages and the files it writes into its output
+    directory, SVG only if asked for; what it computes goes into the plan it
+    shares with the other runs."""
+
+    def __init__(self, cfg: ExperimentConfig, shared: Plan):
+        self.out = Path(cfg.output.directory)
+        self.cfg = cfg
+        self.shared = shared
         self.files = []
         self.records = []
         self.current = "setup"
@@ -97,15 +118,26 @@ class _Run:
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             self.records.append({"name": name, "seconds": seconds, "peak_rss_mb": peak_rss_mb, **extra})
 
+    def computed(self, name, key, compute):
+        """compute() inside stage(name) or, where a run of the plan already
+        computed key, that value, the stage record naming its origin in
+        reused_from."""
+        with self.stage(name) as record:
+            if key in self.shared.done:
+                record["reused_from"] = self.shared.done[key][1]
+            else:
+                self.shared.done[key] = compute(), f"{self.cfg.experiment}/{name}"
+        return self.shared.done[key][0]
+
     def csv(self, name, header, rows):
         self.files.append(write_csv(self.out / name, header, rows))
 
     def chart(self, name, *args, **kwargs):
-        if self.emit_svg:
+        if self.cfg.output.emit_svg:
             self.files.append(svgplot.svg_chart(self.out / name, *args, **kwargs))
 
     def heatmap(self, name, *args):
-        if self.emit_svg:
+        if self.cfg.output.emit_svg:
             self.files.append(svgplot.svg_heatmap(self.out / name, *args))
 
 
@@ -158,33 +190,48 @@ GAIN_SCALING_CSV = ("n", "g_max", "t_am")
 ABSORPTION_CSV = ("t", "pe")
 
 
-def _drive_from_absorber(cfg: ExperimentConfig) -> DriveSchedule:
-    trace = integrate_hierarchy(cfg.absorber, cfg.pulse, cfg.integration)
-    return DriveSchedule(trace.times, trace.pe)
-
-
-def _models(cfg: ExperimentConfig, values=None) -> list[LmgParams]:
-    """The amplifier at each sweep point, from [model], [coupling] bx and [sweep].
+def _models(cfg: ExperimentConfig, values=None) -> list[tuple[str, LmgParams]]:
+    """(stage-name suffix, amplifier) at each sweep point, from [model],
+    [coupling] bx and [sweep].
 
     Each value (the [sweep] values unless given) sets the one [model] field
-    the registry leaves None: jx in fig2 and fig3, the rounded n_qubits in
-    figS3 and figS8. With no field left None (fig4, fig5) there is one model.
+    the registry leaves None, which the suffix names: jx in fig2 and fig3
+    ("-jx=0.675"), the rounded n_qubits in figS3 and figS8 ("-n=400"). With
+    no field left None (fig4, fig5) there is one model and no suffix.
     """
     fields = dict(vars(cfg.model), bx=cfg.coupling.bx if cfg.coupling else 0.0)
     free = [key for key, value in fields.items() if value is None]
     if not free:
-        return [LmgParams(**fields)]
-    cast = float if free == ["jx"] else round
+        return [("", LmgParams(**fields))]
+    cast, tag = (float, "jx") if free == ["jx"] else (round, "n")
     values = cfg.sweep.values() if values is None else values
-    return [LmgParams(**{**fields, free[0]: cast(v)}) for v in values]
+    return [(f"-{tag}={_exact(x)}", LmgParams(**{**fields, free[0]: x})) for x in map(cast, values)]
 
 
-def _amplify(cfg: ExperimentConfig, drive: DriveSchedule, params: LmgParams, record: dict, snapshots=()):
-    """Amplifier trajectory of params over the configured grid, keeping the
-    states at snapshots; its widest window and norm drift go into record."""
-    traj = evolve(params, drive, cfg.integration, snapshots=snapshots)
-    record.update(max_window=traj.max_window, norm_drift=traj.norm_drift)
-    return traj
+def _driven(cfg: ExperimentConfig, run: _Run):
+    """The absorber's drive, then (model, trajectory, {snapshot time: state})
+    at each sweep point. The absorber trace and each trajectory are computed
+    once per plan, and a trajectory keeps the states at the snapshot times
+    the plan gives its key; its widest window and norm drift go into its
+    stage record."""
+    source = (cfg.absorber, cfg.pulse, cfg.integration)
+    trace = run.computed("absorber", source, lambda: integrate_hierarchy(*source))
+    drive = DriveSchedule(trace.times, trace.pe)
+    yield drive
+    for suffix, params in _models(cfg):
+        key = (params, *source)
+        kept = run.shared.snapshots[key]
+        traj = run.computed(f"dynamics{suffix}", key, lambda: evolve(params, drive, cfg.integration, snapshots=kept))
+        run.records[-1].update(max_window=traj.max_window, norm_drift=traj.norm_drift)
+        yield params, traj, dict(zip(kept, traj.states))
+
+
+def _sweep(cfg: ExperimentConfig, run: _Run, values=None):
+    """(model, its field_sweep over the [sweep] fields) of each model, each
+    computed once per plan."""
+    bxs = cfg.sweep.values()
+    for suffix, params in _models(cfg, values):
+        yield params, run.computed(f"field-sweep{suffix}", (params, cfg.sweep), lambda: field_sweep(params, bxs))
 
 
 def _fit(quantity, points, window):
@@ -205,10 +252,11 @@ def _tag(value: float) -> str:
 
 
 def _grid_rows(x, y, values):
-    """Rows (x[i], y[j], values[i, j]), x-major; each x and y is formatted
-    once, and write_csv passes the strings through."""
+    """Rows (x[i], y[j], values[i, j]), x-major, of strings that write_csv
+    passes through: each x and y is formatted once, the values in one pass."""
     xs, ys = [_fmt(v) for v in x], [_fmt(v) for v in y]
-    return zip([s for s in xs for _ in ys], ys * len(xs), values.ravel())
+    column = (((FLOAT_FMT + "\n") * values.size) % tuple(values.ravel().tolist())).split()
+    return zip([s for s in xs for _ in ys], ys * len(xs), column)
 
 
 @contextlib.contextmanager
@@ -225,65 +273,32 @@ def _refusing(section):
 
 
 def _run_fig2(cfg, run):
-    with run.stage("absorber"):
-        drive = _drive_from_absorber(cfg)
+    driven = _driven(cfg, run)
+    drive = next(driven)
     curves = []
-    for params in _models(cfg):
-        with run.stage(f"dynamics-jx={_exact(params.jx)}") as record:
-            traj = _amplify(cfg, drive, params, record)
-            gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
-            rows = zip(traj.times, map(drive.pe_at, traj.times), traj.sx2, traj.sy2, gain.gain)
-            run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
-            curves.append((traj.times, gain.gain, f"jx={_exact(params.jx)}", "line"))
+    for params, traj, _ in driven:
+        gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
+        rows = zip(traj.times, map(drive.pe_at, traj.times), traj.sx2, traj.sy2, gain.gain)
+        run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
+        curves.append((traj.times, gain.gain, f"jx={_exact(params.jx)}", "line"))
     run.chart("gain_vs_bias.svg", curves, "t", "G(t)", "quantum gain vs bias", logy=True)
 
 
-def _check_driven(cfg, snapshots=()):
-    """Every sweep point must make a model of its own, the amplifier's step
-    must be within its bound, and each snapshot time must be a stored
-    amplifier sample."""
-    with _refusing("sweep"):
-        models = _models(cfg)
-        for j, params in enumerate(models):
-            if params in models[:j]:
-                raise ValueError(f"points {models.index(params) + 1} and {j + 1} both give {params}")
-    with _refusing("integration"):
-        sample_plan(cfg.integration, snapshots)
-
-
 def _run_fig3(cfg, run):
-    with run.stage("absorber"):
-        drive = _drive_from_absorber(cfg)
-    for params in _models(cfg):
-        jx = params.jx
-        with run.stage(f"dynamics-jx={_exact(jx)}") as record:
-            traj = _amplify(cfg, drive, params, record, FIG3_SNAPSHOTS)
-        with run.stage(f"qfunction-jx={_exact(jx)}"):
-            for t_snap, state in zip(FIG3_SNAPSHOTS, traj.states):
-                q = q_function(state)
-                name = f"qfunction_jx{_tag(jx)}_t{_tag(t_snap)}"
+    driven = _driven(cfg, run)
+    next(driven)  # the drive
+    for params, _, states in driven:
+        with run.stage(f"qfunction-jx={_exact(params.jx)}"):
+            for t_snap in FIG3_SNAPSHOTS:
+                q = q_function(states[t_snap])
+                name = f"qfunction_jx{_tag(params.jx)}_t{_tag(t_snap)}"
                 run.csv(f"{name}.csv", QFUNC_CSV, _grid_rows(Q_THETA, Q_PHI, q))
-                title = f"Q(theta, phi) at t={t_snap:g}, jx={_exact(jx)}"
+                title = f"Q(theta, phi) at t={t_snap:g}, jx={_exact(params.jx)}"
                 run.heatmap(f"{name}.svg", Q_PHI, Q_THETA, q, "phi", "theta", title)
 
 
-def _check_fits(*windows):
-    """The check that each fit window holds enough [sweep] fields: fit_power_law
-    given the fields with y = 1 refuses them where it would refuse the sweep's
-    data for too few points, so the rule is its own."""
-
-    def check(cfg):
-        with _refusing("sweep"):
-            for window in windows:
-                fit_power_law([(bx, 1.0) for bx in cfg.sweep.values()], window)
-
-    return check
-
-
 def _run_fig4(cfg, run):
-    (params,) = _models(cfg)
-    with run.stage("field-sweep"):
-        points = field_sweep(params, cfg.sweep.values())
+    ((params, points),) = _sweep(cfg, run)
     run.csv("susceptibility_sweep.csv", SWEEP_CSV, points)
     with run.stage("fit"):
         chi_fit = _fit("chi", [(p.bx, p.chi) for p in points], CHI_FIT_WINDOW)
@@ -310,9 +325,7 @@ def _run_fig4(cfg, run):
 
 
 def _run_fig5(cfg, run):
-    (params,) = _models(cfg)
-    with run.stage("field-sweep"):
-        points = field_sweep(params, cfg.sweep.values())
+    ((_, points),) = _sweep(cfg, run)
     run.csv("correlation_gap_sweep.csv", SWEEP_CSV, points)
     with run.stage("fit"):
         c_fit = _fit("abs_c_xxyy", [(p.bx, abs(p.c_xxyy)) for p in points], CXXYY_FIT_WINDOW)
@@ -356,14 +369,12 @@ def _run_figs2(cfg, run):
 
 
 def _run_figs3(cfg, run):
-    with run.stage("absorber"):
-        drive = _drive_from_absorber(cfg)
+    driven = _driven(cfg, run)
+    next(driven)  # the drive
     rows = []
-    for params in _models(cfg):
-        with run.stage(f"dynamics-n={params.n_qubits}") as record:
-            # the trajectory keeps no state, only <S_x^2> and <S_y^2> per sample
-            gain = quantum_gain(_amplify(cfg, drive, params, record), t_arrival=cfg.pulse.t_arrival)
-            rows.append((params.n_qubits, gain.g_max, gain.t_am))
+    for params, traj, _ in driven:
+        gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
+        rows.append((params.n_qubits, gain.g_max, gain.t_am))
     run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)
     run.chart(
         "gain_scaling.svg",
@@ -376,10 +387,8 @@ def _run_figs3(cfg, run):
 
 def _run_figs8(cfg, run):
     curves = []
-    for params in _models(cfg, (500, 1000, 2000)):
+    for params, points in _sweep(cfg, run, (500, 1000, 2000)):
         n = params.n_qubits
-        with run.stage(f"field-sweep-n={n}"):
-            points = field_sweep(params, cfg.sweep.values())
         run.csv(f"eta_n{n}.csv", SWEEP_CSV, points)
         curves.append(([p.bx for p in points], [p.eta for p in points], f"N={n}", "line"))
     run.chart("eta.svg", curves, "bx", "eta", "correlated fraction vs field", logx=True)
@@ -389,17 +398,13 @@ def _run_figs8(cfg, run):
 class Experiment:
     description: str
     defaults: ExperimentConfig  # sections and fields left None are not taken
-    runner: object  # runner(cfg, run) computes and writes through the _Run
-    check: object = None  # check(cfg) refuses, as a "config" ExperimentError, a config the runner cannot use
+    runner: object  # runner(cfg, run) writes through the _Run what _driven or _sweep gives it
+    snapshots: tuple = ()  # times at which a driven runner reads the amplifier's state
+    fits: tuple = ()  # power-law fit windows over the [sweep] fields
 
 
-def _exp(name, description, runner, check=None, **sections):
-    return Experiment(
-        description=description,
-        defaults=ExperimentConfig(experiment=name, **sections),
-        runner=runner,
-        check=check,
-    )
+def _exp(name, description, runner, snapshots=(), fits=(), **sections):
+    return Experiment(description, ExperimentConfig(experiment=name, **sections), runner, snapshots, fits)
 
 
 # The paper's pulse through the absorber into the amplifier at B_x = 0.01.
@@ -427,7 +432,6 @@ REGISTRY = {
             "fig2_gain_vs_bias",
             "gain traces for a J_x bias grid at N=400, J_y=0.7, B_x=0.01",
             _run_fig2,
-            _check_driven,
             **_BIAS_PAIR,
             **_DRIVEN,
         ),
@@ -435,7 +439,7 @@ REGISTRY = {
             "fig3_qfunction",
             "Q-function snapshots at t in {-5,3,10,18} for critical and non-critical bias",
             _run_fig3,
-            lambda cfg: _check_driven(cfg, FIG3_SNAPSHOTS),
+            snapshots=FIG3_SNAPSHOTS,
             **_BIAS_PAIR,
             **_DRIVEN,
         ),
@@ -443,14 +447,14 @@ REGISTRY = {
             "fig4_susceptibility",
             "field sweep at the transition, susceptibility exponent fit, chi vs N",
             _run_fig4,
-            _check_fits(CHI_FIT_WINDOW),
+            fits=(CHI_FIT_WINDOW,),
             **_LINE_SWEEP,
         ),
         _exp(
             "fig5_correlation_gap",
             "higher-order correlator and gap sweeps with exponent fits",
             _run_fig5,
-            _check_fits(CXXYY_FIT_WINDOW, GAP_FIT_WINDOW),
+            fits=(CXXYY_FIT_WINDOW, GAP_FIT_WINDOW),
             **_LINE_SWEEP,
         ),
         _exp(
@@ -473,7 +477,6 @@ REGISTRY = {
             "figS3_gain_scaling",
             "maximum gain and amplification time vs qubit number",
             _run_figs3,
-            _check_driven,
             model=ModelSection(n_qubits=None, jx=0.675, jy=0.7),
             sweep=SweepSection(lo=100, hi=400, points=3, spacing="log"),
             **_DRIVEN,
@@ -497,26 +500,61 @@ def default_config(experiment: str) -> ExperimentConfig:
     return REGISTRY[experiment].defaults
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    if cfg.experiment not in REGISTRY:
-        raise ExperimentError("config", f"unknown experiment {cfg.experiment!r}")
-    entry = REGISTRY[cfg.experiment]
-    extra = untaken(cfg, entry.defaults)
-    if extra is not None:
-        raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
-    if cfg.pulse is not None:  # every run with a pulse starts in its tail and resolves it
-        with _refusing("integration"):
-            cfg.pulse.check_grid(cfg.integration)
-    if entry.check is not None:
-        entry.check(cfg)
-    out = Path(cfg.output.directory)
+def plan(cfgs) -> Plan:
+    """Check every config before any stage of any run, and map each trajectory
+    key (LmgParams, AbsorberParams, PulseEnvelope, TimeGrid) to the sorted
+    union of the snapshot times of the runs that read it.
+
+    A config its run cannot use is a "config" ExperimentError: an unknown
+    experiment, a section or key it does not take, a grid that starts inside
+    the pulse's tail or does not resolve the pulse, or a fit window with too
+    few [sweep] fields (fit_power_law, given the fields with y = 1, refuses
+    them where it would refuse the sweep's data for too few points). A driven
+    run also needs a model of its own at each sweep point, an amplifier step
+    within its bound and a stored sample at each snapshot time.
+    """
+    snapshots = {}
+    for cfg in cfgs:
+        entry = REGISTRY.get(cfg.experiment)
+        if entry is None:
+            raise ExperimentError("config", f"unknown experiment {cfg.experiment!r}")
+        extra = untaken(cfg, entry.defaults)
+        if extra is not None:
+            raise ExperimentError("config", f"experiment {cfg.experiment} does not take {extra}")
+        if cfg.pulse is not None:  # every run with a pulse starts in its tail and resolves it
+            with _refusing("integration"):
+                cfg.pulse.check_grid(cfg.integration)
+        with _refusing("sweep"):
+            for window in entry.fits:
+                fit_power_law([(bx, 1.0) for bx in cfg.sweep.values()], window)
+            # a driven run's amplifier takes the absorber's drive through [coupling]
+            models = [params for _, params in _models(cfg)] if cfg.coupling else []
+            for j, params in enumerate(models):
+                if params in models[:j]:
+                    raise ValueError(f"points {models.index(params) + 1} and {j + 1} both give {params}")
+        if models:
+            with _refusing("integration"):
+                sample_plan(cfg.integration, entry.snapshots)
+        for params in models:
+            key = (params, cfg.absorber, cfg.pulse, cfg.integration)
+            snapshots[key] = tuple(sorted({*snapshots.get(key, ()), *entry.snapshots}))
+    return Plan(snapshots, {})
+
+
+def run_experiment(cfg: ExperimentConfig, shared: Plan | None = None) -> RunManifest:
+    """Run cfg's experiment into its output directory; the manifest is written last.
+
+    shared is the plan of all the configs of one invocation, cfg among them,
+    so that a run reuses what an earlier one computed; without it cfg is
+    planned alone.
+    """
+    run = _Run(cfg, plan([cfg]) if shared is None else shared)
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        run.out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise ExperimentError("output", f"cannot make output directory {out}: {err}") from err
-    run = _Run(out, cfg.output.emit_svg)
+        raise ExperimentError("output", f"cannot make output directory {run.out}: {err}") from err
     try:
-        entry.runner(cfg, run)
+        REGISTRY[cfg.experiment].runner(cfg, run)
     except Exception as err:
         raise ExperimentError(run.current, str(err)) from err
 
@@ -527,7 +565,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         stages=run.records,
         outputs=[{"path": f.name, "sha256": sha256_file(f)} for f in run.files],
     )
-    manifest_path = out / "manifest.json"
+    manifest_path = run.out / "manifest.json"
     manifest_path.write_text(manifest.to_json(), encoding="utf-8")
     if not verify_manifest(manifest_path):
         raise ExperimentError("manifest", "output digest verification failed after write")

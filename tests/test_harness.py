@@ -15,6 +15,7 @@ from spinamp import lmg_statics
 from spinamp.absorber import AbsorberParams, integrate_hierarchy
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
+from spinamp.harness import config
 from spinamp.harness.config import (
     ConfigError,
     OutputSection,
@@ -27,6 +28,7 @@ from spinamp.harness.experiments import (
     REGISTRY,
     ExperimentError,
     default_config,
+    plan,
     run_experiment,
     sha256_file,
     verify_manifest,
@@ -81,6 +83,18 @@ def test_parse_rejects_bad_values():
     ):
         with pytest.raises(ConfigError, match=match):
             apply_overrides(figs3, parse_config_text(text)[1])
+
+
+@pytest.mark.parametrize(
+    "word, value",
+    [("1", True), ("yes", True), ("true", True), ("on", True), ("0", False), ("no", False), ("false", False), ("off", False)],
+)
+def test_boolean_words(word, value):
+    for raw in (word, word.upper(), f"  {word.upper()} \t"):
+        assert config._coerce("output", "emit_svg", raw) is value
+        assert parse_config_text(f"[output]\nemit_svg = {raw}\n")[1] == {"output": {"emit_svg": value}}
+    with pytest.raises(ConfigError, match=r"^\[output\] emit_svg must be a boolean, got '\+1'$"):
+        config._coerce("output", "emit_svg", "+1")
 
 
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "infinity"])
@@ -320,6 +334,14 @@ def test_fig4_size_scan_follows_the_model(tmp_path):
         run_experiment(dataclasses.replace(cfg, output=OutputSection(str(out))))
         digests.append(sha256_file(out / "chi_vs_n.csv"))
     assert digests[0] != digests[1]
+
+
+def test_grid_rows_write_the_bytes_of_per_value_formatting(tmp_path):
+    x, y = np.array([0.0, 1.0 / 3.0]), np.array([-1.5, 2.0, 1e-300])
+    values = np.array([[1.0 / 3.0, -0.0, 5e-324], [1e300, 0.1, 2.0**-1074 * 3]])
+    path = write_csv(tmp_path / "q.csv", ("theta", "phi", "q"), experiments._grid_rows(x, y, values))
+    rows = [(a, b, values[i, j]) for i, a in enumerate(x) for j, b in enumerate(y)]
+    assert path.read_text() == "theta,phi,q\n" + "".join(",".join("%.17g" % v for v in r) + "\n" for r in rows)
 
 
 def test_write_csv_formats_17_digits(tmp_path):
@@ -705,3 +727,84 @@ def test_compare_runs_matches_reruns_and_names_an_edited_column(tmp_path):
     assert "absorption.csv: sha256 differs\n  t: unchanged\n  pe: largest relative change 1.00e-06\n" in out
     # the same change over the column's largest entry: pe rises to its last row
     assert "  pe: largest relative change 1.00e-06\n  pe: largest change 1.00e-06 of the column's largest |a|\n" in out
+
+
+# Two groups that one plan shares: fig2, fig3 and figS3 read one absorber
+# trace and the N = 24, J_x = 0.675 trajectory, on fig3's grid to t = 18;
+# fig5 reads fig4's N = 100 field sweep.
+ONE_BIAS = "[model]\nn_qubits = 24\n[sweep]\nlo = 0.675\nhi = 0.675\npoints = 1\n[integration]\nt_end = 18\n"
+SHARED = {
+    "fig2_gain_vs_bias": ONE_BIAS,
+    "fig3_qfunction": ONE_BIAS,
+    "figS3_gain_scaling": "[sweep]\nlo = 20\nhi = 24\npoints = 2\n[integration]\nt_end = 18\n",
+    "fig4_susceptibility": TINY["fig4_susceptibility"],
+    "fig5_correlation_gap": TINY["fig5_correlation_gap"],
+}
+
+
+def test_one_plan_computes_each_shared_stage_once(tmp_path, monkeypatch):
+    def configs(root):
+        return [
+            dataclasses.replace(
+                apply_overrides(default_config(name), parse_config_text(text)[1]),
+                output=OutputSection(str(root / name)),
+            )
+            for name, text in SHARED.items()
+        ]
+
+    alone = {cfg.experiment: run_experiment(cfg) for cfg in configs(tmp_path / "alone")}
+    assert not [s for m in alone.values() for s in m.stages if "reused_from" in s]
+
+    calls = {"integrate_hierarchy": 0, "evolve": 0, "field_sweep": 0}
+
+    def counting(name):
+        real = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:  # where experiments binds them, as the benchmark's tracer patches them
+        monkeypatch.setattr(experiments, name, counting(name))
+    cfgs = configs(tmp_path / "shared")
+    shared = plan(cfgs)
+    together = {cfg.experiment: run_experiment(cfg, shared) for cfg in cfgs}
+    # one absorber trace, the trajectories at N = 24 and N = 20, one field sweep
+    assert calls == {"integrate_hierarchy": 1, "evolve": 2, "field_sweep": 1}
+    for name, manifest in together.items():
+        assert manifest.outputs == alone[name].outputs, name
+        assert [s["name"] for s in manifest.stages] == [s["name"] for s in alone[name].stages]
+    reused = {
+        (name, s["name"]): s["reused_from"] for name, m in together.items() for s in m.stages if "reused_from" in s
+    }
+    assert reused == {
+        ("fig3_qfunction", "absorber"): "fig2_gain_vs_bias/absorber",
+        ("fig3_qfunction", "dynamics-jx=0.675"): "fig2_gain_vs_bias/dynamics-jx=0.675",
+        ("figS3_gain_scaling", "absorber"): "fig2_gain_vs_bias/absorber",
+        ("figS3_gain_scaling", "dynamics-n=24"): "fig2_gain_vs_bias/dynamics-jx=0.675",
+        ("fig5_correlation_gap", "field-sweep"): "fig4_susceptibility/field-sweep",
+    }
+    # a reused trajectory's record carries its origin's window and drift
+    origin = {s["name"]: s for s in together["fig2_gain_vs_bias"].stages}["dynamics-jx=0.675"]
+    for name, stage in (("fig3_qfunction", "dynamics-jx=0.675"), ("figS3_gain_scaling", "dynamics-n=24")):
+        record = {s["name"]: s for s in together[name].stages}[stage]
+        assert (record["max_window"], record["norm_drift"]) == (origin["max_window"], origin["norm_drift"])
+
+
+def test_plan_refuses_a_later_config_before_any_run(tmp_path):
+    # fig3's snapshot at t = 3 is off a grid sampled every 7 steps
+    fig3 = default_config("fig3_qfunction")
+    fig3 = dataclasses.replace(
+        fig3,
+        integration=dataclasses.replace(fig3.integration, sample_every=7),
+        output=OutputSection(str(tmp_path / "fig3")),
+    )
+    refusal = r"^\[config\] \[integration\] no stored sample at t = 3\.0"
+    with pytest.raises(ExperimentError, match=refusal) as alone:
+        run_experiment(fig3)
+    with pytest.raises(ExperimentError, match=refusal) as planned:
+        plan([_figs1_config(tmp_path, "figs1"), fig3])
+    assert str(planned.value) == str(alone.value)
+    assert not list(tmp_path.iterdir())

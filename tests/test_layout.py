@@ -1,5 +1,6 @@
 """Every definition and every module-level constant in src/spinamp has a
-reader in src/spinamp, and the banded product lives in dicke alone.
+reader in src/spinamp, the banded product lives in dicke alone, and the
+harness has one compute path per kind of stage.
 
 Code that only the tests read lives in tests/helpers.py, so a function,
 class or method that nothing in the package names beyond its own
@@ -84,3 +85,17 @@ def test_slice_updates_live_in_dicke():
                 found.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
     assert found  # the walk found add_band_products
     assert all(place.startswith("dicke.py:") for place in found), found
+
+
+def test_runners_share_one_compute_path():
+    """experiments calls evolve, field_sweep and DriveSchedule at one place
+    each, in _driven and _sweep, which every runner that needs a trajectory
+    or a field sweep reads; a runner that calls one itself would compute
+    apart from the plan."""
+    tree = ast.parse((SRC / "harness" / "experiments.py").read_text(encoding="utf-8"))
+    called = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert {name: called.count(name) for name in ("evolve", "field_sweep", "DriveSchedule")} == {
+        "evolve": 1,
+        "field_sweep": 1,
+        "DriveSchedule": 1,
+    }
