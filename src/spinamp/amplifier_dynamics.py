@@ -58,8 +58,11 @@ SERIES_CUT = 1e-17  # the Chebyshev series stops at the first |J_k| below this p
 # 1e-60, stays far above float64 underflow.
 SUPPORT_TAIL = 1e-30
 # RK4 steps between trims. A trim costs a few passes over the window, and
-# each step of a group widens it by 4 H.bandwidth levels; 1, 5 and 25 cost the
-# same within timing noise at N = 400-1600, and 5 keeps the widening to 40 levels.
+# each step of a group widens it by 4 H.bandwidth levels. Against 5, on the
+# registry drive at J_y = 0.7, B_x = 0.01 (process time, minimum of 5 evolve
+# runs, one thread, 2-core shared host): 1 took 19-25 % longer at J_x = 0.675,
+# N = 400 and 1600, and at J_x = 0.5, N = 400; 10 took -3 to +7 % and 25 -3 to
+# +15 %. 5 also keeps the widening to 40 levels.
 TRIM_EVERY = 5
 RK4_STABLE = 2.0 * np.sqrt(2.0)  # RK4 is stable on the imaginary axis up to |dt lambda| = 2 sqrt 2
 

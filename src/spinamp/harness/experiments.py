@@ -3,15 +3,17 @@
 An entry declares its defaults, the times at which its trajectories keep
 the amplifier's state and its fit windows. plan(cfgs) checks every config
 against them before any stage of any run. Each runner takes the drive and
-trajectories from _driven, or the field sweeps from _sweep, which compute
-each distinct one once per plan, and writes what it reads.
+trajectories, each with its gain, from _driven, or the field sweeps from
+_sweep, which compute each distinct one once per plan, and writes what it
+reads.
 
 Outputs are CSV files with fixed column schemas (17 significant digits,
 byte-identical across reruns of the same config) plus a manifest.json
 written last, carrying the config echo, per-stage wall times and peak RSS
-(for a dynamics stage also the amplifier's widest window and norm drift,
-and for a stage that another run of the plan computed, reused_from naming
-that run's stage), and SHA-256 digests of every emitted file. SVG emission
+(a dynamics stage's time covers its trajectory's gain, and its record adds
+the amplifier's widest window and norm drift; a stage that another run of the
+plan computed adds reused_from naming that run's stage and takes that run's
+trajectory and gain), and SHA-256 digests of every emitted file. SVG emission
 is optional and presentational.
 """
 
@@ -150,12 +152,14 @@ def _fmt(v) -> str:
 
 
 def write_csv(path: Path, header, rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != len(header):
-            raise ValueError(f"row width {len(row)} != header width {len(header)} in {path.name}")
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header, then each row as rows yields it; a row whose width
+    is not the header's is a ValueError, the rows before it written."""
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValueError(f"row width {len(row)} != header width {len(header)} in {path.name}")
+            out.write(",".join(_fmt(v) for v in row) + "\n")
     return path
 
 
@@ -209,11 +213,12 @@ def _models(cfg: ExperimentConfig, values=None) -> list[tuple[str, LmgParams]]:
 
 
 def _driven(cfg: ExperimentConfig, run: _Run):
-    """The absorber's drive, then (model, trajectory, {snapshot time: state})
-    at each sweep point. The absorber trace and each trajectory are computed
-    once per plan, and a trajectory keeps the states at the snapshot times
-    the plan gives its key; its widest window and norm drift go into its
-    stage record."""
+    """The absorber's drive, then (model, trajectory, gain, {snapshot time:
+    state}) at each sweep point. The absorber trace and each trajectory are
+    computed once per plan, and a trajectory keeps the states at the snapshot
+    times the plan gives its key. Its gain (quantum_gain from the pulse's
+    arrival) comes with it, computed in the same dynamics stage and reused
+    with it; its widest window and norm drift go into its stage record."""
     source = (cfg.absorber, cfg.pulse, cfg.integration)
     trace = run.computed("absorber", source, lambda: integrate_hierarchy(*source))
     drive = DriveSchedule(trace.times, trace.pe)
@@ -221,9 +226,14 @@ def _driven(cfg: ExperimentConfig, run: _Run):
     for suffix, params in _models(cfg):
         key = (params, *source)
         kept = run.shared.snapshots[key]
-        traj = run.computed(f"dynamics{suffix}", key, lambda: evolve(params, drive, cfg.integration, snapshots=kept))
+
+        def evolved():
+            traj = evolve(params, drive, cfg.integration, snapshots=kept)
+            return traj, quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
+
+        traj, gain = run.computed(f"dynamics{suffix}", key, evolved)
         run.records[-1].update(max_window=traj.max_window, norm_drift=traj.norm_drift)
-        yield params, traj, dict(zip(kept, traj.states))
+        yield params, traj, gain, dict(zip(kept, traj.states))
 
 
 def _sweep(cfg: ExperimentConfig, run: _Run, values=None):
@@ -276,8 +286,7 @@ def _run_fig2(cfg, run):
     driven = _driven(cfg, run)
     drive = next(driven)
     curves = []
-    for params, traj, _ in driven:
-        gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
+    for params, traj, gain, _ in driven:
         rows = zip(traj.times, map(drive.pe_at, traj.times), traj.sx2, traj.sy2, gain.gain)
         run.csv(f"gain_jx{_tag(params.jx)}.csv", GAIN_CSV, rows)
         curves.append((traj.times, gain.gain, f"jx={_exact(params.jx)}", "line"))
@@ -287,7 +296,7 @@ def _run_fig2(cfg, run):
 def _run_fig3(cfg, run):
     driven = _driven(cfg, run)
     next(driven)  # the drive
-    for params, _, states in driven:
+    for params, _, _, states in driven:
         with run.stage(f"qfunction-jx={_exact(params.jx)}"):
             for t_snap in FIG3_SNAPSHOTS:
                 q = q_function(states[t_snap])
@@ -372,8 +381,7 @@ def _run_figs3(cfg, run):
     driven = _driven(cfg, run)
     next(driven)  # the drive
     rows = []
-    for params, traj, _ in driven:
-        gain = quantum_gain(traj, t_arrival=cfg.pulse.t_arrival)
+    for params, _, gain, _ in driven:
         rows.append((params.n_qubits, gain.g_max, gain.t_am))
     run.csv("gain_scaling.csv", GAIN_SCALING_CSV, rows)
     run.chart(

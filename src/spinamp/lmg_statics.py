@@ -65,18 +65,20 @@ class LmgParams:
 class GroundStateResult:
     """E0, the ground vector and its parameters; the gap E1 - E0 is found on its first read.
 
-    excited is the gap where the solve found it with the ground pair (B_x = 0),
-    or else the E1 step that finds it, run once by the first read of gap.
+    excited is the zero-argument step that gives the gap, from either branch
+    of solve_ground; the first read of gap runs it once. At B_x = 0 it hands
+    back the gap the solve found with the ground pair, and at B_x != 0 it runs
+    E1's Lanczos.
     """
 
     e0: float
     ground: np.ndarray
     params: LmgParams
-    excited: float | Callable[[], float] = field(repr=False, compare=False)
+    excited: Callable[[], float] = field(repr=False, compare=False)
 
     @functools.cached_property
     def gap(self) -> float:
-        gap = self.excited() if callable(self.excited) else self.excited
+        gap = self.excited()
         if gap < -1e-10:
             raise ValueError(f"eigenvalues out of order: gap = {gap}")
         return gap
@@ -139,11 +141,14 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def _ground_by_parity(h: BandedHermitianOperator, params: "LmgParams"):
-    """E0, E1 - E0 and the ground vector from the even and odd m-offset blocks at B_x = 0.
+    """E0, the E1 step and the unit ground vector from the even and odd
+    m-offset blocks at B_x = 0.
 
-    Bisection leaves each eigenvalue a few ulp of |H| off, so levels closer
-    than 4 ulp are a tie; on a tie the even block supplies the vector. A
-    failing tridiagonal solve is EigensolverError step ``parity``.
+    Both levels come from the same solve, so the E1 step only hands back
+    E1 - E0. Bisection leaves each eigenvalue a few ulp of |H| off, so levels
+    closer than 4 ulp are a tie; on a tie the even block supplies the vector.
+    A failing tridiagonal solve is EigensolverError step ``parity``. The
+    vector's sign and residual are left to solve_ground.
     """
     n = h.dimension
     found = []  # (eigenvalue, parity, block_vector)
@@ -162,10 +167,7 @@ def _ground_by_parity(h: BandedHermitianOperator, params: "LmgParams"):
     _, par, vb = min((f for f in found if f[0] - e0 <= tie), key=lambda f: f[1])
     vec = np.zeros(n)
     vec[par::2] = vb
-    vec = _fix_sign(vec)
-    vec = vec / np.linalg.norm(vec)
-    _check_residual(h, e0, vec, params)
-    return e0, e1 - e0, vec
+    return e0, lambda: e1 - e0, vec / np.linalg.norm(vec)
 
 
 _SHIFT_MARGIN = 1e-13  # a trial shift stays this far below the E0 upper bound, relative to |H|
@@ -248,7 +250,7 @@ def _check_residual(h: BandedHermitianOperator, e0: float, vec: np.ndarray, para
 
 
 def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
-    """E0, the E1 step and the ground vector at B_x != 0 from Cholesky factors of H - sigma*I.
+    """E0, the E1 step and the unit ground vector at B_x != 0 from Cholesky factors of H - sigma*I.
 
     1. Certified shift: sigma starts at the Gershgorin floor. Each round runs
        Lanczos on (H - sigma)^-1 and moves sigma to the Kato lower bound of its
@@ -256,14 +258,16 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
        E0; a trial counts only if its Cholesky factorization succeeds, and a
        failed trial is halved back towards sigma.
     2. Ground pair: inverse iteration with the last factor, E0 its Rayleigh
-       quotient; the residual guard checks it before step 3.
+       quotient; solve_ground fixes the vector's sign and checks its residual.
     3. E1 (``_excited_gap``), handed back unrun with the last factor and run
        when the gap is first read: Lanczos on (H - sigma)^-1 deflated by the
        ground vector, started from the field term 2 B_x S_x applied to it
        (H's band 1 alone, through dicke.add_band_products), which flips the
-       m-parity that labels the zero-field doublet. One Krylov vector cannot
-       resolve a nearly degenerate E1, E2 pair, so there E1 may sit up to
-       their splitting above its exact value.
+       m-parity that labels the zero-field doublet. The step takes the vector
+       before solve_ground fixes its sign: flipping the sign flips every
+       Lanczos vector exactly and leaves the gap's bits as they are. One
+       Krylov vector cannot resolve a nearly degenerate E1, E2 pair, so there
+       E1 may sit up to their splitting above its exact value.
 
     Energies are taken as sigma plus Rayleigh quotients of H - sigma*I, so the
     gap is a difference of two small numbers (Ericsson and Ruhe, Math. Comp.
@@ -306,10 +310,7 @@ def _ground_by_shift_invert(h: BandedHermitianOperator, params: "LmgParams"):
         theta0, r = _rayleigh(shifted, x)
         if r <= 1e-14 * h_norm:
             break
-    x = _fix_sign(x)
-    e0 = sigma + theta0
-    _check_residual(h, e0, x, params)
-    return e0, functools.partial(_excited_gap, shifted, chol, x, theta0, params), x
+    return sigma + theta0, functools.partial(_excited_gap, shifted, chol, x, theta0, params), x
 
 
 def _excited_gap(
@@ -346,16 +347,19 @@ def solve_ground(params: LmgParams) -> GroundStateResult:
     certified shift sigma < E0 gives a banded Cholesky factor of H - sigma*I,
     and the ground pair and E1 come from inverse iteration and Lanczos with
     that factor (``_ground_by_shift_invert``); no step forms an N x N array
-    or costs more than O(N) per iteration. There E1's Lanczos runs when
-    the result's gap is first read, not here: a solve whose gap nothing
-    reads never runs it.
-    The vector is real, with a deterministic global sign; its residual must
-    stay within 1e-8 * max(|H|, 1). A failure raises EigensolverError naming
-    the step: ``parity``, ``shift`` or ``residual`` from this call, and
-    ``excited`` from the first read of the gap.
+    or costs more than O(N) per iteration. Both branches hand back E1 as a
+    step that the first read of the result's gap runs; there E1's Lanczos
+    runs, not here, so a solve whose gap nothing reads never runs it.
+    Here, for both branches, the vector gets its deterministic global sign
+    (_fix_sign) and its residual must stay within 1e-8 * max(|H|, 1)
+    (_check_residual). A failure raises EigensolverError naming the step:
+    ``parity``, ``shift`` or ``residual`` from this call, and ``excited``
+    from the first read of the gap.
     """
     h = assemble_hamiltonian(params)
     e0, excited, vec = (_ground_by_shift_invert if params.bx != 0.0 else _ground_by_parity)(h, params)
+    vec = _fix_sign(vec)
+    _check_residual(h, e0, vec, params)
     return GroundStateResult(e0=e0, ground=vec, params=params, excited=excited)
 
 

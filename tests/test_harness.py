@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import scipy.linalg
 
 from spinamp import lmg_statics
 from spinamp.absorber import AbsorberParams, integrate_hierarchy
+from spinamp.amplifier_dynamics import Q_PHI, Q_THETA
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
 from spinamp.harness import config
@@ -342,6 +344,21 @@ def test_grid_rows_write_the_bytes_of_per_value_formatting(tmp_path):
     path = write_csv(tmp_path / "q.csv", ("theta", "phi", "q"), experiments._grid_rows(x, y, values))
     rows = [(a, b, values[i, j]) for i, a in enumerate(x) for j, b in enumerate(y)]
     assert path.read_text() == "theta,phi,q\n" + "".join(",".join("%.17g" % v for v in r) + "\n" for r in rows)
+
+
+def test_a_qfunction_csv_streams_through_write_csv(tmp_path):
+    """The full 181 x 361 grid, written through _grid_rows, peaks below 10 MB
+    of Python allocations: write_csv writes each row as it comes rather than
+    holding the file's lines (about 20 MB for this grid)."""
+    values = 10.0 ** np.random.default_rng(0).uniform(-30.0, 2.0, (Q_THETA.size, Q_PHI.size))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "q.csv", experiments.QFUNC_CSV, experiments._grid_rows(Q_THETA, Q_PHI, values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "q.csv").read_text().splitlines()) == 1 + values.size
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_write_csv_formats_17_digits(tmp_path):
@@ -755,7 +772,7 @@ def test_one_plan_computes_each_shared_stage_once(tmp_path, monkeypatch):
     alone = {cfg.experiment: run_experiment(cfg) for cfg in configs(tmp_path / "alone")}
     assert not [s for m in alone.values() for s in m.stages if "reused_from" in s]
 
-    calls = {"integrate_hierarchy": 0, "evolve": 0, "field_sweep": 0}
+    calls = {"integrate_hierarchy": 0, "evolve": 0, "field_sweep": 0, "quantum_gain": 0}
 
     def counting(name):
         real = getattr(experiments, name)
@@ -768,11 +785,26 @@ def test_one_plan_computes_each_shared_stage_once(tmp_path, monkeypatch):
 
     for name in calls:  # where experiments binds them, as the benchmark's tracer patches them
         monkeypatch.setattr(experiments, name, counting(name))
+    handed = {}  # (experiment, n_qubits) -> the gain _driven hands the runner
+    real_driven = experiments._driven
+
+    def recording(cfg, run):
+        for item in real_driven(cfg, run):
+            if isinstance(item, tuple):
+                handed[cfg.experiment, item[0].n_qubits] = item[2]
+            yield item
+
+    monkeypatch.setattr(experiments, "_driven", recording)
     cfgs = configs(tmp_path / "shared")
     shared = plan(cfgs)
     together = {cfg.experiment: run_experiment(cfg, shared) for cfg in cfgs}
-    # one absorber trace, the trajectories at N = 24 and N = 20, one field sweep
-    assert calls == {"integrate_hierarchy": 1, "evolve": 2, "field_sweep": 1}
+    # one absorber trace, the trajectories at N = 24 and N = 20 with one gain
+    # each, one field sweep
+    assert calls == {"integrate_hierarchy": 1, "evolve": 2, "field_sweep": 1, "quantum_gain": 2}
+    # a reused dynamics stage hands its runner the gain its origin computed
+    origin_gain = handed["fig2_gain_vs_bias", 24]
+    assert handed["fig3_qfunction", 24] is origin_gain and handed["figS3_gain_scaling", 24] is origin_gain
+    assert handed["figS3_gain_scaling", 20] is not origin_gain
     for name, manifest in together.items():
         assert manifest.outputs == alone[name].outputs, name
         assert [s["name"] for s in manifest.stages] == [s["name"] for s in alone[name].stages]

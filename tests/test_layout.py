@@ -88,14 +88,15 @@ def test_slice_updates_live_in_dicke():
 
 
 def test_runners_share_one_compute_path():
-    """experiments calls evolve, field_sweep and DriveSchedule at one place
-    each, in _driven and _sweep, which every runner that needs a trajectory
-    or a field sweep reads; a runner that calls one itself would compute
-    apart from the plan."""
+    """experiments calls evolve, quantum_gain, field_sweep and DriveSchedule
+    at one place each, in _driven and _sweep, which every runner that needs a
+    trajectory, its gain or a field sweep reads; a runner that calls one
+    itself would compute apart from the plan."""
     tree = ast.parse((SRC / "harness" / "experiments.py").read_text(encoding="utf-8"))
     called = [node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    assert {name: called.count(name) for name in ("evolve", "field_sweep", "DriveSchedule")} == {
+    assert {name: called.count(name) for name in ("evolve", "quantum_gain", "field_sweep", "DriveSchedule")} == {
         "evolve": 1,
+        "quantum_gain": 1,
         "field_sweep": 1,
         "DriveSchedule": 1,
     }
