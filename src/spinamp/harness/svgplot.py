@@ -1,26 +1,23 @@
-"""Tiny deterministic SVG emitters: log-log scatter with fit lines, line
-charts, and heatmaps. Presentation only; the CSV files are the contract."""
+"""Tiny deterministic SVG emitters: charts of lines and dots on linear or
+log axes, and heatmaps drawn as one embedded PNG with one pixel per value.
+Presentation only; the CSV files are the contract."""
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
+import zlib
+
+import numpy as np
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
 _PALETTE = ("#c23b22", "#1f5fa6", "#3d8c40", "#8a5fb0", "#b8860b", "#4a4a4a")
-_MAX_CELLS = 200  # heatmap cells per axis; a longer axis keeps every k-th point
 
 # five-anchor ramp, dark blue -> yellow
 _RAMP = ((0.267, 0.005, 0.329), (0.229, 0.322, 0.546), (0.128, 0.567, 0.551),
          (0.369, 0.789, 0.383), (0.993, 0.906, 0.144))
-
-
-def _lerp_color(u: float) -> str:
-    u = min(max(u, 0.0), 1.0)
-    seg = min(int(u * (len(_RAMP) - 1)), len(_RAMP) - 2)
-    f = u * (len(_RAMP) - 1) - seg
-    rgb = [(1 - f) * a + f * b for a, b in zip(_RAMP[seg], _RAMP[seg + 1])]
-    return "#%02x%02x%02x" % tuple(int(round(255 * c)) for c in rgb)
 
 
 class _Frame:
@@ -98,6 +95,25 @@ def _finite_positive(xs, ys, logx, logy):
     return out
 
 
+def _write(path, parts):
+    parts.append("</svg>")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
+    return path
+
+
+def _png(rgb):
+    """An 8-bit RGB PNG of rgb, an (h, w, 3) uint8 array, its first row on top."""
+    h, w, _ = rgb.shape
+    rows = np.insert(rgb.reshape(h, 3 * w), 0, 0, axis=1)  # each row opens with filter type 0
+    chunks = ((b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)),
+              (b"IDAT", zlib.compress(rows.tobytes(), 9)), (b"IEND", b""))
+    return b"\x89PNG\r\n\x1a\n" + b"".join(
+        struct.pack(">I", len(data)) + tag + data + struct.pack(">I", zlib.crc32(tag + data))
+        for tag, data in chunks
+    )
+
+
 def svg_chart(path, series, xlabel, ylabel, title, logx=False, logy=False):
     """series: list of (xs, ys, label, kind) with kind 'line' or 'dots'."""
     pts_all = []
@@ -129,36 +145,22 @@ def svg_chart(path, series, xlabel, ylabel, title, logx=False, logy=False):
             f'<text x="{_W - _MR - 6}" y="{_MT + 16 + 14 * i}" text-anchor="end" '
             f'font-size="11" font-family="sans-serif" fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-    return path
+    return _write(path, parts)
 
 
 def svg_heatmap(path, x, y, z, xlabel, ylabel, title):
-    """z[i, j] over y[i] (rows) and x[j] (columns), linear axes."""
-    sy = max(1, (len(y) - 1) // _MAX_CELLS + 1)
-    sx = max(1, (len(x) - 1) // _MAX_CELLS + 1)
-    ys, xs, zs = y[::sy], x[::sx], z[::sy, ::sx]
-    zmin, zmax = float(zs.min()), float(zs.max())
-    span = zmax - zmin if zmax > zmin else 1.0
-    frame = _Frame((min(xs), max(xs)), (min(ys), max(ys)))
-    parts = _header(title)
-    cw = (_W - _ML - _MR) / len(xs)
-    ch = (_H - _MT - _MB) / len(ys)
-    for i in range(len(ys)):
-        for j in range(len(xs)):
-            u = (float(zs[i, j]) - zmin) / span
-            parts.append(
-                f'<rect x="{_ML + j * cw:.1f}" y="{_H - _MB - (i + 1) * ch:.1f}" '
-                f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}" fill="{_lerp_color(u)}"/>'
-            )
-    parts += _axes(frame, xlabel, ylabel)
-    parts.append(
+    """z[i, j] over y[i] (rows) and x[j] (columns), linear axes; one pixel
+    per value, y's last row on top, the colour scale over all of z."""
+    zmin, zmax = float(z.min()), float(z.max())
+    u = (z[::-1] - zmin) / (zmax - zmin if zmax > zmin else 1.0)
+    anchors = np.linspace(0.0, 1.0, len(_RAMP))
+    rgb = np.stack([np.interp(u, anchors, channel) for channel in zip(*_RAMP)], axis=-1)
+    png = base64.b64encode(_png(np.rint(255 * rgb).astype(np.uint8))).decode("ascii")
+    parts = _header(title) + [
+        f'<image x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
+        f'preserveAspectRatio="none" style="image-rendering:pixelated" '
+        f'href="data:image/png;base64,{png}"/>',
         f'<text x="{_W - _MR - 6}" y="{_MT - 6}" text-anchor="end" font-size="10" '
-        f'font-family="sans-serif">range [{zmin:.3g}, {zmax:.3g}]</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
-    return path
+        f'font-family="sans-serif">range [{zmin:.3g}, {zmax:.3g}]</text>',
+    ]
+    return _write(path, parts + _axes(_Frame((min(x), max(x)), (min(y), max(y))), xlabel, ylabel))

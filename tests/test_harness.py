@@ -1,10 +1,13 @@
+import base64
 import dataclasses
 import json
 import math
 import re
+import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from spinamp.absorber import AbsorberParams, integrate_hierarchy
 from spinamp.amplifier_dynamics import Q_PHI, Q_THETA
 from spinamp.harness import experiments
 from spinamp.harness.cli import main
-from spinamp.harness import config
+from spinamp.harness import config, svgplot
 from spinamp.harness.config import (
     ConfigError,
     OutputSection,
@@ -426,6 +429,54 @@ def test_svg_run_adds_parseable_charts_and_keeps_csvs(tmp_path, name):
     assert {p: d for p, d in digests[True].items() if p not in charts} == digests[False]
 
 
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _heatmap_pixels(path):
+    """(pixels, an (h, w, 3) uint8 array with its first row on top, and the
+    range text) of a heatmap SVG, its one PNG decoded chunk by chunk."""
+    root = ET.parse(path).getroot()
+    (image,) = root.iter(SVG + "image")
+    assert len(list(root.iter(SVG + "rect"))) == 2  # the white background and the plot frame
+    (text,) = [t.text for t in root.iter(SVG + "text") if t.text.startswith("range [")]
+    png = base64.b64decode(image.get("href").removeprefix("data:image/png;base64,"))
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = {}, 8
+    while pos < len(png):
+        (length,) = struct.unpack(">I", png[pos : pos + 4])
+        tag, data = png[pos + 4 : pos + 8], png[pos + 8 : pos + 8 + length]
+        assert struct.unpack(">I", png[pos + 8 + length : pos + 12 + length])[0] == zlib.crc32(tag + data)
+        chunks[tag] = chunks.get(tag, b"") + data
+        pos += 12 + length
+    assert list(chunks) == [b"IHDR", b"IDAT", b"IEND"]
+    w, h, depth, colour, _, _, interlace = struct.unpack(">IIBBBBB", chunks[b"IHDR"])
+    assert (depth, colour, interlace) == (8, 2, 0)  # 8-bit RGB, rows in order
+    rows = np.frombuffer(zlib.decompress(chunks[b"IDAT"]), np.uint8).reshape(h, 1 + 3 * w)
+    assert not rows[:, 0].any()  # filter type 0: each row's bytes as they are
+    return rows[:, 1:].reshape(h, w, 3), text
+
+
+def test_a_heatmap_is_one_png_coloured_over_all_of_z(tmp_path):
+    first, last = (np.rint(255 * np.array(svgplot._RAMP[k])).astype(np.uint8) for k in (0, -1))
+    # more than 200 columns, the maximum in an odd one
+    x, y = np.linspace(0.0, 2.0 * np.pi, 241), np.linspace(0.0, 1.0, 5)
+    z = np.tile(np.arange(5.0)[:, None], (1, 241))
+    z[3, 201], z[0, 0] = 7.5, -2.0
+    pixels, text = _heatmap_pixels(svgplot.svg_heatmap(tmp_path / "a.svg", x, y, z, "x", "y", "t"))
+    assert pixels.shape == (5, 241, 3)
+    assert (pixels[1, 201] == last).all()  # z's row 3 is the image's row 1: y's last row on top
+    assert (pixels[4, 0] == first).all()
+    assert len({tuple(p) for p in pixels[:, 1]}) == 5  # one colour per row away from the extremes
+    assert text == "range [-2, 7.5]"
+    svgplot.svg_heatmap(tmp_path / "b.svg", x, y, z, "x", "y", "t")
+    assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+    # a constant one-row grid, as figS2 at [sweep] points = 1
+    pixels, text = _heatmap_pixels(svgplot.svg_heatmap(tmp_path / "c.svg", x, [0.5], np.full((1, 241), 3.0), "x", "y", "t"))
+    assert pixels.shape == (1, 241, 3)
+    assert (pixels == first).all()
+    assert text == "range [3, 3]"
+
+
 def test_manifest_detects_corruption(tmp_path):
     run_experiment(_figs1_config(tmp_path, "c"))
     out = tmp_path / "c"
@@ -744,6 +795,31 @@ def test_compare_runs_matches_reruns_and_names_an_edited_column(tmp_path):
     assert "absorption.csv: sha256 differs\n  t: unchanged\n  pe: largest relative change 1.00e-06\n" in out
     # the same change over the column's largest entry: pe rises to its last row
     assert "  pe: largest relative change 1.00e-06\n  pe: largest change 1.00e-06 of the column's largest |a|\n" in out
+
+
+CODE_SIZE = Path(__file__).resolve().parents[1] / "tools" / "code_size.py"
+
+
+def _code_size(root):
+    """{module: (code lines, code tokens)} as tools/code_size.py prints them
+    for root, checked against its last line, the total."""
+    done = subprocess.run([sys.executable, str(CODE_SIZE), str(root)], capture_output=True, text=True, check=True)
+    *modules, total = done.stdout.splitlines()
+    counts = {}
+    for line in modules:
+        name, lines, tokens = re.fullmatch(r"(\S+): (\d+) code lines, (\d+) code tokens", line).groups()
+        counts[name] = int(lines), int(tokens)
+    lines, tokens = map(sum, zip(*counts.values()))
+    assert total == f"{root}: {len(modules)} files, {lines} code lines, {tokens} code tokens"
+    return counts
+
+
+def test_code_size_prints_each_module_then_the_total(tmp_path):
+    (tmp_path / "doc.py").write_text('"""Only a docstring."""\n')
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "code.py").write_text('"""Doc."""\n# a comment\nX = 1\n\n\ndef f():\n    """Doc."""\n    return X\n')
+    assert _code_size(tmp_path) == {"doc.py": (0, 0), "pkg/code.py": (3, 10)}
+    assert "harness/svgplot.py" in _code_size(Path(svgplot.__file__).parents[1])
 
 
 # Two groups that one plan shares: fig2, fig3 and figS3 read one absorber

@@ -2,6 +2,9 @@
 
     python tools/code_size.py [ROOT]      # ROOT defaults to src/spinamp
 
+It prints one line per module, its path under ROOT with its code lines and
+code tokens, then the total over ROOT as the last line.
+
 A code token is any token `tokenize` yields except comments, line breaks
 (NL, NEWLINE), INDENT, DEDENT, ENDMARKER and docstrings: the string that
 opens a module, class or function body, as `ast` finds it. A code line is
@@ -66,6 +69,7 @@ def main(argv: list[str]) -> int:
     lines = tokens = 0
     for path in files:
         file_lines, file_tokens = code_size(path.read_text(encoding="utf-8"))
+        print(f"{path.relative_to(root).as_posix()}: {file_lines} code lines, {file_tokens} code tokens")
         lines += file_lines
         tokens += file_tokens
     print(f"{root}: {len(files)} files, {lines} code lines, {tokens} code tokens")
